@@ -15,9 +15,9 @@ from .eisenstein import CycInt, additive_char, zeta_pow
 from .errors import FieldConfigError, UnsupportedScaleError, VerificationError
 from .field import Field, default_modulus, is_irreducible
 from .groups import (brute_force_orthogonal, check_gauss_sum, check_trace_spectrum,
-                     closure_spot_check, coset_count, enumerate_group, gauss_sum,
-                     gauss_sum_closed, group_order, iter_group, mat_mul, mat_trace,
-                     q_binomial, trace_spectrum, trace_spectrum_closed)
+                     closure_spot_check, coset_count, enumerate_group, gauss_sum_closed,
+                     group_order, iter_group, mat_mul, mat_trace, q_binomial,
+                     trace_spectrum, trace_spectrum_closed)
 from .moments import (RecursionReport, corollary_n, predict_t12sk, solve_sk,
                       theorem_a1, theorem_a2, theorem_l)
 
@@ -30,7 +30,7 @@ __all__ = [
     "check_gauss_sum", "check_trace_spectrum", "closure_spot_check",
     "code_dimension", "code_length", "corollary_n", "coset_count",
     "default_modulus", "delta", "delta_table", "dual_codeword", "dual_spectrum",
-    "dual_weight_formula", "dual_weights", "enumerate_group", "gauss_sum",
+    "dual_weight_formula", "dual_weights", "enumerate_group",
     "gauss_sum_closed", "group_order", "is_irreducible", "iter_group",
     "kloosterman", "kloosterman_all", "kloosterman_gl", "kloosterman_gl_brute",
     "mat_mul", "mat_trace", "moment_table", "pless_check", "predict_t12sk",

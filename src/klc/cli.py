@@ -8,17 +8,13 @@ reruns with identical flags are byte-identical apart from that line.  CSV
 output is a flat, lossy convenience rendering of the same rows.
 
 Exit status: 0 on success, 1 when any emitted verification row carries a
-false equal/pass flag, 2 on usage errors.  The environment variable
-KLC_THREADS (validated, >= 1) caps worker parallelism; the current
-implementation runs everything on one thread, which trivially respects
-any cap.
+false equal/pass flag, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -29,7 +25,7 @@ from .charsums import (kloosterman_all, kloosterman_gl, kloosterman_gl_brute,
                        moment_table, prop_e_check, salie_check)
 from .codes import (code_length, dual_spectrum, dual_weight_formula, dual_weights,
                     pless_check, weight_distribution_dp, weight_distribution_macwilliams)
-from .errors import FieldConfigError, UnsupportedScaleError, VerificationError
+from .errors import UnsupportedScaleError, VerificationError
 from .field import Field
 from .groups import (GROUPS, brute_force_orthogonal, check_gauss_sum,
                      check_trace_spectrum, closure_spot_check, enumerate_group,
@@ -45,20 +41,6 @@ class RunConfig:
     modulus: tuple[int, ...]
     output: str
     seed: int
-    threads: int
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("KLC_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise click.UsageError(f"KLC_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise click.UsageError(f"KLC_THREADS must be >= 1, got {n}")
-    return n
 
 
 def _build(q_exponent: int, modulus: str | None, output: str, seed: int) -> tuple[Field, RunConfig]:
@@ -68,12 +50,8 @@ def _build(q_exponent: int, modulus: str | None, output: str, seed: int) -> tupl
             coeffs = [int(c) for c in modulus.split(",")]
         except ValueError:
             raise click.UsageError(f"--modulus expects comma-separated integers, got {modulus!r}")
-    try:
-        field = Field(q_exponent, coeffs)
-    except FieldConfigError as exc:
-        raise click.UsageError(str(exc))
-    cfg = RunConfig(r=field.r, modulus=field.modulus, output=output,
-                    seed=seed, threads=_threads_from_env())
+    field = _wrap(lambda: Field(q_exponent, coeffs))
+    cfg = RunConfig(r=field.r, modulus=field.modulus, output=output, seed=seed)
     return field, cfg
 
 
@@ -85,7 +63,6 @@ def _emit(cfg: RunConfig, command: str, rows: list[dict]) -> None:
             "q": 3**cfg.r,
             "modulus": list(cfg.modulus),
             "seed": cfg.seed,
-            "threads": cfg.threads,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
         click.echo(json.dumps(header, sort_keys=True))
@@ -291,9 +268,7 @@ def code_dual_spectrum(q_exponent, modulus, output, seed, tag):
               show_default=True)
 @click.option("--truncate", type=int, default=None,
               help="Emit only C_0..C_J (dp method only).")
-@click.option("--allow-large", is_flag=True,
-              help="Lift the N <= 2000 bound for the MacWilliams expansion.")
-def code_spectrum(q_exponent, modulus, output, seed, tag, method, truncate, allow_large):
+def code_spectrum(q_exponent, modulus, output, seed, tag, method, truncate):
     """Weight distribution of the code by the chosen method."""
     field, cfg = _build(q_exponent, modulus, output, seed)
 
@@ -302,7 +277,7 @@ def code_spectrum(q_exponent, modulus, output, seed, tag, method, truncate, allo
             return weight_distribution_dp(field, tag, truncate_at=truncate)
         if truncate is not None:
             raise click.UsageError("--truncate applies to the dp method only")
-        return weight_distribution_macwilliams(field, tag, allow_large=allow_large)
+        return weight_distribution_macwilliams(field, tag)
 
     dist = _wrap(body)
     _emit(cfg, "code spectrum", dist.rows(field.q))

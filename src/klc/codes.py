@@ -16,8 +16,14 @@ routes and must agree coefficient by coefficient:
     sum) with per-beta transitions bucketed by (nu - mu) mod 3, which is
     all that matters for the shift since the additive group has exponent 3;
 
-  * the MacWilliams transform of the q-word dual spectrum, where the
-    division by q must be exact.
+  * the MacWilliams transform of the q-word dual spectrum.  The dual
+    weights w(a) = sum_beta n(beta) [tr(a beta) != 0] are read off the
+    trace histogram of the enumerated group, and the transform runs the
+    ternary Krawtchouk three-term recurrence once per distinct dual
+    weight; every division in it must be exact.
+
+dual_codeword materializes the words c(a) themselves and is the oracle
+for the dual weights.
 
 All counts are exact Python integers throughout.
 """
@@ -32,7 +38,8 @@ from .charsums import kloosterman_all
 from .eisenstein import additive_char
 from .errors import UnsupportedScaleError, VerificationError
 from .field import Field
-from .groups import GROUPS, enumerate_group, group_order, mat_trace, trace_spectrum_closed
+from .groups import (GROUPS, enumerate_group, group_order, mat_trace, trace_spectrum,
+                     trace_spectrum_closed)
 
 _FULL_SPECTRUM_MAX_N = 2000
 
@@ -52,9 +59,15 @@ def code_dimension(field: Field, tag: str) -> int:
     return code_length(field.q, tag) - field.r
 
 
-@lru_cache(maxsize=None)
-def _group_traces(field: Field, tag: str) -> tuple[int, ...]:
-    return tuple(mat_trace(field, w) for w in enumerate_group(field, tag))
+def _full_length(q: int, tag: str) -> int:
+    """N, refused above the bound shared by both full-table methods."""
+    n_total = code_length(q, tag)
+    if n_total > _FULL_SPECTRUM_MAX_N:
+        raise UnsupportedScaleError(
+            f"full distribution bounded at N <= {_FULL_SPECTRUM_MAX_N} "
+            f"(asked for N = {n_total}); truncate the dp method instead"
+        )
+    return n_total
 
 
 def dual_codeword(field: Field, tag: str, a: int) -> tuple[int, ...]:
@@ -63,17 +76,17 @@ def dual_codeword(field: Field, tag: str, a: int) -> tuple[int, ...]:
     if not 0 <= a < field.q:
         raise ValueError(f"a must be an element of GF({field.q}), got {a}")
     mul, tr = field.mul, field.trace
-    return tuple(tr(mul(a, t)) for t in _group_traces(field, tag))
+    return tuple(tr(mul(a, mat_trace(field, g))) for g in enumerate_group(field, tag))
 
 
 @lru_cache(maxsize=None)
 def dual_weights(field: Field, tag: str) -> tuple[int, ...]:
-    """Hamming weight of c(a) for every a, by counting nonzero coordinates."""
-    out = []
-    for a in field.elements():
-        coords = dual_codeword(field, tag, a)
-        out.append(sum(1 for c in coords if c))
-    return tuple(out)
+    """Hamming weight of c(a) for every a from the enumerated trace histogram:
+    w(a) = sum_beta N(beta) [tr(a beta) != 0]."""
+    spectrum = trace_spectrum(field, _check_tag(tag))
+    mul, tr = field.mul, field.trace
+    return tuple(sum(n for beta, n in enumerate(spectrum) if tr(mul(a, beta)))
+                 for a in field.elements())
 
 
 def dual_weight_formula(field: Field, tag: str, a: int) -> int:
@@ -177,18 +190,12 @@ def weight_distribution_dp(field: Field, tag: str,
     exact counts C_0..C_J at any supported q.
     """
     tag = _check_tag(tag)
-    n_total = code_length(field.q, tag)
     if truncate_at is None:
-        if n_total > _FULL_SPECTRUM_MAX_N:
-            raise UnsupportedScaleError(
-                f"full distribution bounded at N <= {_FULL_SPECTRUM_MAX_N} "
-                f"(asked for N = {n_total}); use truncate_at"
-            )
-        cap = n_total
+        cap = _full_length(field.q, tag)
     else:
         if truncate_at < 0:
             raise ValueError(f"truncate_at must be nonnegative, got {truncate_at}")
-        cap = min(truncate_at, n_total)
+        cap = min(truncate_at, code_length(field.q, tag))
 
     q = field.q
     add = field.add
@@ -213,45 +220,38 @@ def weight_distribution_dp(field: Field, tag: str,
     return WeightDistribution(code=tag, counts=tuple(state[0]), truncated_at=truncate_at)
 
 
-def _binomial_row(n: int, scale_base: int, sign: bool) -> list[int]:
-    """Coefficients of (1 + scale_base*y)^n, optionally alternating in sign."""
-    out = [1]
-    c = 1
+def _krawtchouk_row(n: int, x: int) -> list[int]:
+    """K_0(x)..K_n(x), the coefficients of (1 + 2y)^(n - x) (1 - y)^x, by the
+    ternary three-term recurrence
+
+        (k+1) K_{k+1}(x) = (k + 2(n-k) - 3x) K_k(x) - 2(n-k+1) K_{k-1}(x)
+
+    (MacWilliams & Sloane, ch. 5); each division by k+1 must be exact.
+    """
+    row = [1]
+    prev, cur = 0, 1
     for k in range(n):
-        c = c * (n - k) // (k + 1)
-        v = c * scale_base**(k + 1)
-        out.append(-v if sign and (k + 1) % 2 else v)
-    return out
+        nxt, rem = divmod((k + 2 * (n - k) - 3 * x) * cur - 2 * (n - k + 1) * prev, k + 1)
+        if rem:
+            raise VerificationError(f"Krawtchouk recurrence inexact at n={n}, x={x}, k={k + 1}")
+        row.append(nxt)
+        prev, cur = cur, nxt
+    return row
 
 
-def weight_distribution_macwilliams(field: Field, tag: str,
-                                    allow_large: bool = False) -> WeightDistribution:
+def weight_distribution_macwilliams(field: Field, tag: str) -> WeightDistribution:
     """Weight distribution via the MacWilliams transform of the dual spectrum:
 
-        W_C(y) = (1/q) sum_a (1 + 2y)^(N - w(a)) (1 - y)^(w(a))
+        W_C(y) = (1/q) sum_a (1 + 2y)^(N - w(a)) (1 - y)^(w(a)),
 
+    that is C_j = (1/q) sum_x A_x K_j(x) over the dual weight counts A_x.
     The division by q must come out exact; anything else is an error.
     """
     tag = _check_tag(tag)
-    n_total = code_length(field.q, tag)
-    if n_total > _FULL_SPECTRUM_MAX_N and not allow_large:
-        raise UnsupportedScaleError(
-            f"MacWilliams expansion bounded at N <= {_FULL_SPECTRUM_MAX_N} "
-            f"(asked for N = {n_total}); pass allow_large to force it"
-        )
+    n_total = _full_length(field.q, tag)
     total = [0] * (n_total + 1)
-    for w in dual_weights(field, tag):
-        heavy = _binomial_row(n_total - w, 2, sign=False)
-        if w == 0:
-            for j, v in enumerate(heavy):
-                total[j] += v
-            continue
-        light = _binomial_row(w, 1, sign=True)
-        for j, hv in enumerate(heavy):
-            if not hv:
-                continue
-            end = min(j + len(light), n_total + 1)
-            total[j:end] = [t + hv * lv for t, lv in zip(total[j:end], light)]
+    for x, a_x in dual_spectrum(field, tag).items():
+        total = [t + a_x * k for t, k in zip(total, _krawtchouk_row(n_total, x))]
     q = field.q
     counts = []
     for j, v in enumerate(total):

@@ -9,6 +9,8 @@ integer from a value with b != 0 raises rather than rounding.
 
 from __future__ import annotations
 
+from .errors import VerificationError
+
 
 class CycInt:
     """An element a + b*zeta of Z[zeta] with arbitrary-precision components."""
@@ -75,7 +77,7 @@ class CycInt:
 
     def to_int(self) -> int:
         if self.b != 0:
-            raise ValueError(f"{self!r} is not a rational integer")
+            raise VerificationError(f"{self!r} is not a rational integer")
         return self.a
 
     def to_json(self) -> dict:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .errors import FieldConfigError
+from .errors import FieldConfigError, VerificationError
 
 _MAX_R = 8
 # Full q x q addition tables are only worth the memory up to this size.
@@ -174,7 +174,8 @@ class Field:
             t = 0
             for k in range(self.r):
                 t = self.add(t, self.pow(x, 3**k))
-            assert t < 3, "trace landed outside the prime field"
+            if t >= 3:
+                raise VerificationError(f"trace of {x} landed outside the prime field")
             trace.append(t)
         self._trace = trace
 

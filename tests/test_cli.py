@@ -1,10 +1,15 @@
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import klc
 import klc.cli as cli
+from klc.eisenstein import ZETA
+from klc.field import Field
 from klc.moments import RecursionReport
 
 
@@ -41,7 +46,7 @@ def test_json_header_and_rows(runner):
     assert header["event"] == "run"
     assert header["command"] == "verify corollary-n"
     assert header["q"] == 3 and header["modulus"] == [0, 1]
-    assert header["seed"] == 0 and header["threads"] == 1
+    assert header["seed"] == 0
     assert "timestamp" in header
     body = rows[1:]
     assert [row["family"] for row in body] == ["SK", "T0SK", "T12SK"]
@@ -139,8 +144,10 @@ def test_gauss_command(runner):
 
 
 def test_gauss_rejects_nonunit(runner):
-    result = runner.invoke(cli.main, ["group", "gauss", "--group", "so3", "--a", "0"])
-    assert result.exit_code == 2
+    for a in ("0", "3", "5"):
+        result = runner.invoke(cli.main, ["group", "gauss", "--group", "so3", "--a", a])
+        assert result.exit_code == 2, a
+        assert "a must be a unit" in result.output
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +173,10 @@ def test_truncate_only_for_dp(runner):
 
 
 def test_full_spectrum_guard_is_a_usage_error(runner):
-    result = runner.invoke(cli.main, ["code", "spectrum", "--code", "so3",
-                                      "--q-exponent", "3"])
-    assert result.exit_code == 2
+    for method in ("dp", "macwilliams"):
+        result = runner.invoke(cli.main, ["code", "spectrum", "--code", "so3",
+                                          "--method", method, "--q-exponent", "3"])
+        assert result.exit_code == 2, method
 
 
 def test_dual_spectrum_command(runner):
@@ -212,6 +220,27 @@ def test_verify_theorems_exit_zero(runner):
         assert all(row["equal"] for row in _rows(result)[1:])
 
 
+def test_package_has_no_assert_statements():
+    """Invariants raise VerificationError, which python -O cannot strip."""
+    for path in sorted(Path(klc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not found, f"{path.name}: assert at lines {found}"
+
+
+def test_math_failure_exits_one(runner, monkeypatch):
+    """Broken invariants are verification failures, not usage errors."""
+    monkeypatch.setattr(cli, "corollary_n", lambda field: [ZETA.to_int()])
+    result = runner.invoke(cli.main, ["verify", "corollary-n"])
+    assert result.exit_code == 1
+    assert "not a rational integer" in result.output
+    # with every Frobenius image equal to t, the trace sum leaves GF(3)
+    monkeypatch.setattr(Field, "pow", lambda self, x, e: 3)
+    result = runner.invoke(cli.main, ["verify", "corollary-n", "--q-exponent", "2"])
+    assert result.exit_code == 1
+    assert "outside the prime field" in result.output
+
+
 def test_failing_row_exits_one(runner, monkeypatch):
     bad = RecursionReport("corollary-n", 3, 1, Fraction(0), Fraction(1),
                           False, "000000000000", family="SK")
@@ -240,12 +269,3 @@ def test_bad_modulus_flags(runner):
         result = runner.invoke(cli.main, ["verify", "corollary-n"] + flags)
         assert result.exit_code == 2, flags
 
-
-def test_threads_env(runner):
-    ok = runner.invoke(cli.main, ["verify", "corollary-n"], env={"KLC_THREADS": "3"})
-    assert ok.exit_code == 0
-    assert _rows(ok)[0]["threads"] == 3
-    for bad in ("0", "-2", "many"):
-        result = runner.invoke(cli.main, ["verify", "corollary-n"],
-                               env={"KLC_THREADS": bad})
-        assert result.exit_code == 2, bad

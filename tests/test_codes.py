@@ -1,7 +1,9 @@
+from math import comb
 from random import Random
 
 import pytest
 
+import klc.codes as codes
 from klc.codes import (
     code_dimension,
     code_length,
@@ -77,6 +79,18 @@ def test_dual_weight_formula_matches_count(r, tag):
         assert dual_weight_formula(f, tag, a) == weights[a]
 
 
+@pytest.mark.parametrize("tag", GROUPS)
+@pytest.mark.parametrize("r,modulus", [(1, None), (1, (1, 1)), (2, None), (2, (2, 1, 1)),
+                                       (3, None), (3, (2, 2, 0, 1))])
+def test_dual_weights_match_materialized_words(r, modulus, tag):
+    """The trace-histogram weights equal the weights of the oracle words c(a)."""
+    f = Field(r, modulus)
+    weights = dual_weights(f, tag)
+    assert len(weights) == f.q
+    for a in f.elements():
+        assert weights[a] == sum(1 for c in dual_codeword(f, tag, a) if c), a
+
+
 def test_dual_weight_formula_guards():
     f = Field(1)
     with pytest.raises(ValueError):
@@ -146,13 +160,14 @@ def test_dp_anchors_q3():
 
 @pytest.mark.parametrize("tag", GROUPS)
 def test_dp_matches_macwilliams_q3(tag):
-    f = Field(1)
-    dp = weight_distribution_dp(f, tag)
-    mw = weight_distribution_macwilliams(f, tag)
-    assert dp.counts == mw.counts
-    n = code_length(3, tag)
-    assert len(dp.counts) == n + 1
-    assert sum(dp.counts) == 3 ** (n - 1)
+    for modulus in (None, (1, 1), (2, 1)):
+        f = Field(1, modulus)
+        dp = weight_distribution_dp(f, tag)
+        mw = weight_distribution_macwilliams(f, tag)
+        assert dp.counts == mw.counts
+        n = code_length(3, tag)
+        assert len(dp.counts) == n + 1
+        assert sum(dp.counts) == 3 ** (n - 1)
 
 
 @pytest.mark.parametrize("tag", GROUPS)
@@ -163,6 +178,30 @@ def test_dp_matches_macwilliams_q9(tag, q9_dists):
     n = code_length(9, tag)
     assert sum(dp) == 3 ** (n - 2)
     assert dp[0] == 1 and dp[-1] >= 0
+
+
+@pytest.mark.parametrize("tag", GROUPS)
+def test_dp_matches_macwilliams_q9_other_modulus(tag):
+    f = Field(2, (2, 1, 1))
+    assert weight_distribution_dp(f, tag).counts == \
+        weight_distribution_macwilliams(f, tag).counts
+
+
+def test_krawtchouk_rows_match_the_expansion():
+    """Coefficients of (1 + 2y)^(n - x) (1 - y)^x, expanded term by term."""
+    for n in range(9):
+        for x in range(n + 1):
+            direct = [sum((-1) ** i * comb(x, i) * 2 ** (k - i) * comb(n - x, k - i)
+                          for i in range(k + 1)) for k in range(n + 1)]
+            assert codes._krawtchouk_row(n, x) == direct, (n, x)
+
+
+def test_macwilliams_inexact_division_is_a_verification_error(monkeypatch):
+    """A dual spectrum that is not one of a linear code leaves a remainder mod q."""
+    f = Field(1)
+    monkeypatch.setattr(codes, "dual_spectrum", lambda field, tag: {0: 1, 15: 1})
+    with pytest.raises(VerificationError):
+        weight_distribution_macwilliams(f, "so3")
 
 
 @pytest.mark.parametrize("tag", GROUPS)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from klc.eisenstein import ONE, ZERO, ZETA, CycInt, additive_char, zeta_pow
+from klc.errors import VerificationError
 from klc.field import Field
 
 ints = st.integers(-(10**6), 10**6)
@@ -67,9 +68,9 @@ def test_real_part(x):
 
 def test_to_int_guards_realness():
     assert CycInt(7, 0).to_int() == 7
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         ZETA.to_int()
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError):
         CycInt(4, -2).to_int()
 
 

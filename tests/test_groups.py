@@ -14,7 +14,6 @@ from klc.groups import (
     closure_spot_check,
     coset_count,
     enumerate_group,
-    gauss_sum,
     gauss_sum_closed,
     group_order,
     is_orthogonal,
@@ -203,9 +202,9 @@ def test_closed_spectrum_needs_no_enumeration():
 
 def test_gauss_sum_q3_anchors():
     f = Field(1)
-    assert gauss_sum(f, "so3", 1) == CycInt(0, -3)
-    assert gauss_sum(f, "o3", 1) == CycInt(3, 0)
-    assert gauss_sum(f, "sp2", 1) == CycInt(-3, 0)
+    assert check_gauss_sum(f, "so3", 1).from_spectrum == CycInt(0, -3)
+    assert check_gauss_sum(f, "o3", 1).from_spectrum == CycInt(3, 0)
+    assert check_gauss_sum(f, "sp2", 1).from_spectrum == CycInt(-3, 0)
 
 
 @pytest.mark.parametrize("gid", GROUPS)
@@ -224,8 +223,9 @@ def test_gauss_sum_closed_form(r, gid):
 def test_gauss_sum_rejects_zero():
     with pytest.raises(ValueError):
         gauss_sum_closed(Field(1), "so3", 0)
-    with pytest.raises(ValueError):
-        gauss_sum(Field(1), "so3", 3)
+    for a in (0, 3, 5):
+        with pytest.raises(ValueError):
+            check_gauss_sum(Field(1), "so3", a)
 
 
 @pytest.mark.parametrize("gid", GROUPS)
