@@ -10,7 +10,8 @@ from .charsums import (MomentTable, a_r_closed_form, a_r_sum, delta, delta_table
                        kloosterman_gl_brute, moment_table, prop_e_check, salie_check)
 from .codes import (WeightDistribution, code_dimension, code_length, dual_codeword,
                     dual_spectrum, dual_weight_formula, dual_weights, pless_check,
-                    stirling2, weight_distribution_dp, weight_distribution_macwilliams)
+                    pless_sum, stirling2, weight_distribution_dp,
+                    weight_distribution_macwilliams)
 from .eisenstein import CycInt, additive_char, zeta_pow
 from .errors import FieldConfigError, UnsupportedScaleError, VerificationError
 from .field import Field, default_modulus, is_irreducible
@@ -33,8 +34,8 @@ __all__ = [
     "dual_weight_formula", "dual_weights", "enumerate_group",
     "gauss_sum_closed", "group_order", "is_irreducible", "iter_group",
     "kloosterman", "kloosterman_all", "kloosterman_gl", "kloosterman_gl_brute",
-    "mat_mul", "mat_trace", "moment_table", "pless_check", "predict_t12sk",
-    "prop_e_check", "q_binomial", "salie_check", "solve_sk", "stirling2",
+    "mat_mul", "mat_trace", "moment_table", "pless_check", "pless_sum",
+    "predict_t12sk", "prop_e_check", "q_binomial", "salie_check", "solve_sk", "stirling2",
     "theorem_a1", "theorem_a2", "theorem_l", "trace_spectrum",
     "trace_spectrum_closed", "weight_distribution_dp",
     "weight_distribution_macwilliams", "zeta_pow",

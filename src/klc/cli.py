@@ -29,7 +29,7 @@ from .errors import UnsupportedScaleError, VerificationError
 from .field import Field
 from .groups import (GROUPS, brute_force_orthogonal, check_gauss_sum,
                      check_trace_spectrum, closure_spot_check, enumerate_group,
-                     group_order, iter_group)
+                     group_order)
 from .moments import corollary_n, theorem_a1, theorem_a2, theorem_l
 
 _FLAG_KEYS = ("equal", "pass")
@@ -172,24 +172,21 @@ def group_cmd():
 @click.option("--oracle", is_flag=True,
               help="Cross-check against the 3^9 / 3^4 filter (q = 3 only).")
 def group_enumerate(q_exponent, modulus, output, seed, gid, oracle):
-    """Stream the group elements as rows of enc-integer grids."""
+    """Emit the group elements as rows of enc-integer grids (q <= 27)."""
     field, cfg = _build(q_exponent, modulus, output, seed)
     if oracle and field.q != 3:
         raise click.UsageError("--oracle requires --q-exponent 1")
 
     def body():
-        rows = []
-        for i, w in enumerate(iter_group(field, gid)):
-            row = {"index": i}
-            for a, line in enumerate(w):
-                for b, v in enumerate(line):
-                    row[f"e{a}{b}"] = v
-            rows.append(row)
+        elems = enumerate_group(field, gid)
+        rows = [{"index": i, **{f"e{a}{b}": v for a, line in enumerate(w)
+                                for b, v in enumerate(line)}}
+                for i, w in enumerate(elems)]
         expected = group_order(field.q, gid)
         rows.append({"count": len(rows), "expected": expected,
                      "pass": len(rows) == expected})
         if oracle:
-            built = sorted(enumerate_group(field, gid))
+            built = sorted(elems)
             if gid == "sp2":
                 from .groups import is_symplectic
                 ref = sorted(((a, b), (c, d))

@@ -31,6 +31,7 @@ All counts are exact Python integers throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -117,7 +118,7 @@ def dual_spectrum(field: Field, tag: str) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Stirling numbers
+# Stirling numbers and the Pless sum
 
 
 def stirling2(h: int, t: int) -> int:
@@ -134,6 +135,27 @@ def stirling2(h: int, t: int) -> int:
     if acc % ft:
         raise VerificationError(f"stirling2({h}, {t}) sum not divisible by {t}!")
     return acc // ft
+
+
+def pless_sum(n: int, h: int, counts) -> Fraction:
+    """The Pless power-moment sum behind every identity in this package:
+
+        sum_{j=0}^{min(n,h)} (-1)^j counts[j]
+            sum_{t=j}^{h} t! S(h,t) 2^(t-j) 3^(-t) C(n-j, n-t),
+
+    where the terms with t > n vanish.  For a ternary code of length n and
+    dimension k whose dual has weight counts A_j, 3^k pless_sum(n, h, A)
+    == sum_j j^h C_j (MacWilliams & Sloane, ch. 5).  Counts past index
+    min(n, h) are not read; missing ones are zero.
+    """
+    top = min(n, h)
+    weights = [factorial(t) * stirling2(h, t) for t in range(top + 1)]
+    acc = 0
+    for j, c in enumerate(counts[: top + 1]):
+        inner = sum(weights[t] * 3 ** (h - t) * 2 ** (t - j) * comb(n - j, n - t)
+                    for t in range(j, top + 1))
+        acc += (-1) ** j * c * inner
+    return Fraction(acc, 3**h)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +303,11 @@ def pless_check(field: Field, tag: str, h: int,
                 counts: tuple[int, ...] | None = None) -> PlessReport:
     """Check the h-th Pless power moment for C(G) against its dual spectrum:
 
-        sum_j j^h C_j ==
-        sum_{j=0}^{min(N,h)} (-1)^j A_j sum_{t=j}^{h} t! S(h,t) 3^(k-t) 2^(t-j) C(N-j, N-t)
+        sum_j j^h C_j == 3^(N-r) pless_sum(N, h, A)
 
-    with k = dim C = N - r and A_j the dual weight counts.  The left side
-    uses a full weight distribution (computed here via MacWilliams when not
-    supplied).
+    with N - r = dim C and A_j the dual weight counts; the right side must
+    be an integer.  The left side uses a full weight distribution (computed
+    here via MacWilliams when not supplied).
     """
     tag = _check_tag(tag)
     if h < 0:
@@ -295,16 +316,11 @@ def pless_check(field: Field, tag: str, h: int,
     if counts is None:
         counts = weight_distribution_macwilliams(field, tag).counts
     lhs = sum(j**h * c for j, c in enumerate(counts))
-    k = n_total - field.r
     dual = dual_spectrum(field, tag)
-    rhs = 0
-    for j in range(min(n_total, h) + 1):
-        aj = dual.get(j, 0)
-        if not aj:
-            continue
-        inner = 0
-        for t in range(j, h + 1):
-            inner += (factorial(t) * stirling2(h, t) * 3 ** (k - t)
-                      * 2 ** (t - j) * comb(n_total - j, n_total - t))
-        rhs += (-1) ** j * aj * inner
-    return PlessReport(code=tag, q=field.q, h=h, lhs=lhs, rhs=rhs, equal=lhs == rhs)
+    rhs = 3 ** (n_total - field.r) * pless_sum(
+        n_total, h, [dual.get(j, 0) for j in range(min(n_total, h) + 1)])
+    if rhs.denominator != 1:
+        raise VerificationError(f"Pless right side for {tag} at q={field.q}, h={h} "
+                                f"is not an integer: {rhs}")
+    return PlessReport(code=tag, q=field.q, h=h, lhs=lhs, rhs=rhs.numerator,
+                       equal=lhs == rhs)

@@ -9,21 +9,18 @@ report is a real confirmation, not a tautology.
 
 Identity catalogue (T = T12SK, the moments of K(a^2) over trace-nonzero a;
 C1/C2/Csp are the weight counts of the SO(3,q), O(3,q), Sp(2,q) codes;
-N1/N2 their lengths; S(h,t) Stirling numbers of the second kind):
+N1/N2 their lengths).  Every right side is the Pless power-moment sum
+P(N, h, c) = codes.pless_sum, scaled:
 
   theorem-a1   ((-1)^(h+1) + 2^-h) T^h ==
-               - sum_{j=1}^{h-1} ((-1)^(j+1) + 2^-j) C(h,j) (q^2-1)^(h-j) T^j
-               + q^(1-h) sum_{j=0}^{min(N1,h)} (-1)^j (C1_j - Csp_j)
-                   sum_{t=j}^{h} t! S(h,t) 3^(h-t) 2^(t-h-j) C(N1-j, N1-t)
+               L(h) + (3/2)^h q^(1-h) P(N1, h, C1 - Csp),
+               L(h) = - sum_{j=1}^{h-1} ((-1)^(j+1) + 2^-j) C(h,j) (q^2-1)^(h-j) T^j
 
   theorem-a2   same left side, with the O(3,q) code on the right:
-               - (same first sum)
-               + q^(1-h) sum_j (-1)^j C2_j sum_t t! S(h,t) 3^(h-t) 2^(t-2h-j) C(N2-j, N2-t)
-               - q^(1-h) sum_j (-1)^j Csp_j sum_t t! S(h,t) 3^(h-t) 2^(t-h-j) C(N1-j, N1-t)
+               L(h) + (3/2)^h q^(1-h) (2^-h P(N2, h, C2) - P(N1, h, Csp))
 
   theorem-l    2 (2q/3)^h sum_{j=0}^{h} (-1)^j C(h,j) (q^2-1)^(h-j) SK^j ==
-               q sum_{j=0}^{min(N1,h)} (-1)^j Csp_j
-                   sum_{t=j}^{h} t! S(h,t) 3^-t 2^(t-j) C(N1-j, N1-t)
+               q P(N1, h, Csp)
 
   corollary-n  closed forms for the first moments:
                SK = ((-1)^r q + 1)/2, T0SK = (-1)^r q/3 + 1, T12SK = 2 (-1)^r q/3
@@ -39,10 +36,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .charsums import moment_table
-from .codes import code_length, stirling2, weight_distribution_dp
+from .codes import code_length, pless_sum, weight_distribution_dp
 from .errors import UnsupportedScaleError
 from .field import Field
 
@@ -111,92 +108,58 @@ def _lhs_coeff(h: int) -> Fraction:
     return Fraction((-1) ** (h + 1)) + Fraction(1, 2**h)
 
 
-def _a1_rhs(field: Field, h: int, t12, c1, csp) -> Fraction:
-    """Right side of theorem-a1 at height h, with t12 any mapping j -> value."""
-    q = field.q
-    n1 = code_length(q, "so3")
-    acc = Fraction(0)
-    for j in range(1, h):
-        acc -= (_lhs_coeff(j) * comb(h, j) * (q * q - 1) ** (h - j)) * t12[j]
-    tail = Fraction(0)
-    for j in range(min(n1, h) + 1):
-        inner = Fraction(0)
-        for t in range(j, h + 1):
-            inner += (factorial(t) * stirling2(h, t) * 3 ** (h - t)
-                      * comb(n1 - j, n1 - t) * Fraction(1, 2 ** (h + j - t)))
-        tail += (-1) ** j * (c1[j] - csp[j]) * inner
-    return acc + tail * Fraction(1, q ** (h - 1))
-
-
-def theorem_a1(field: Field, hmax: int) -> list[RecursionReport]:
-    """Check the SO(3,q)-code moment recursion for h = 1..hmax."""
+def _check(theorem: str, field: Field, hmax: int, family: str, tags: tuple[str, ...],
+           lhs, rhs, note: str | None = None) -> list[RecursionReport]:
+    """Report lhs(field, h, m) against rhs(field, h, m, *counts) for
+    h = 1..hmax, where m maps h to the family's moment and counts are the
+    tagged codes' weight counts C_0..C_hmax."""
     _check_hmax(hmax)
     mt = moment_table(field, hmax)
-    c1 = truncated_counts(field, "so3", hmax)
-    csp = truncated_counts(field, "sp2", hmax)
-    digest = _digest(c1, csp)
-    t12 = {h: mt.value("T12SK", h) for h in range(hmax + 1)}
+    counts = [truncated_counts(field, tag, hmax) for tag in tags]
+    digest = _digest(*counts)
+    m = {h: mt.value(family, h) for h in range(hmax + 1)}
     out = []
     for h in range(1, hmax + 1):
-        lhs = _lhs_coeff(h) * t12[h]
-        rhs = _a1_rhs(field, h, t12, c1, csp)
-        out.append(RecursionReport("theorem-a1", field.q, h, lhs, rhs,
-                                   lhs == rhs, digest))
+        left, right = lhs(field, h, m), rhs(field, h, m, *counts)
+        out.append(RecursionReport(theorem, field.q, h, left, right, left == right,
+                                   digest, note=note))
     return out
+
+
+def _a_lhs(field: Field, h: int, t12) -> Fraction:
+    return _lhs_coeff(h) * t12[h]
+
+
+def _a_rhs(q: int, h: int, t12, pless: Fraction) -> Fraction:
+    """L(h) + (3/2)^h q^(1-h) pless, the right-side shape theorem-a1 and
+    theorem-a2 share; t12 is any mapping j -> value."""
+    acc = Fraction(3**h, 2**h * q ** (h - 1)) * pless
+    for j in range(1, h):
+        acc -= (_lhs_coeff(j) * comb(h, j) * (q * q - 1) ** (h - j)) * t12[j]
+    return acc
+
+
+def _a1_rhs(field: Field, h: int, t12, c1, csp) -> Fraction:
+    q = field.q
+    diff = [a - b for a, b in zip(c1, csp)]
+    return _a_rhs(q, h, t12, pless_sum(code_length(q, "so3"), h, diff))
 
 
 def _a2_rhs(field: Field, h: int, t12, c2, csp) -> Fraction:
     q = field.q
-    n1 = code_length(q, "so3")
-    n2 = code_length(q, "o3")
-    acc = Fraction(0)
-    for j in range(1, h):
-        acc -= (_lhs_coeff(j) * comb(h, j) * (q * q - 1) ** (h - j)) * t12[j]
-    mid = Fraction(0)
-    for j in range(min(n2, h) + 1):
-        inner = Fraction(0)
-        for t in range(j, h + 1):
-            inner += (factorial(t) * stirling2(h, t) * 3 ** (h - t)
-                      * comb(n2 - j, n2 - t) * Fraction(1, 2 ** (2 * h + j - t)))
-        mid += (-1) ** j * c2[j] * inner
-    last = Fraction(0)
-    for j in range(min(n1, h) + 1):
-        inner = Fraction(0)
-        for t in range(j, h + 1):
-            inner += (factorial(t) * stirling2(h, t) * 3 ** (h - t)
-                      * comb(n1 - j, n1 - t) * Fraction(1, 2 ** (h + j - t)))
-        last += (-1) ** j * csp[j] * inner
-    return acc + (mid - last) * Fraction(1, q ** (h - 1))
+    return _a_rhs(q, h, t12, pless_sum(code_length(q, "o3"), h, c2) / 2**h
+                  - pless_sum(code_length(q, "so3"), h, csp))
+
+
+def theorem_a1(field: Field, hmax: int) -> list[RecursionReport]:
+    """Check the SO(3,q)-code moment recursion for h = 1..hmax."""
+    return _check("theorem-a1", field, hmax, "T12SK", ("so3", "sp2"), _a_lhs, _a1_rhs)
 
 
 def theorem_a2(field: Field, hmax: int) -> list[RecursionReport]:
     """Check the O(3,q)-code moment recursion for h = 1..hmax."""
-    _check_hmax(hmax)
-    mt = moment_table(field, hmax)
-    c2 = truncated_counts(field, "o3", hmax)
-    csp = truncated_counts(field, "sp2", hmax)
-    digest = _digest(c2, csp)
-    t12 = {h: mt.value("T12SK", h) for h in range(hmax + 1)}
-    out = []
-    for h in range(1, hmax + 1):
-        lhs = _lhs_coeff(h) * t12[h]
-        rhs = _a2_rhs(field, h, t12, c2, csp)
-        out.append(RecursionReport("theorem-a2", field.q, h, lhs, rhs,
-                                   lhs == rhs, digest, note=_A2_NOTE))
-    return out
-
-
-def _l_rhs(field: Field, h: int, csp) -> Fraction:
-    q = field.q
-    n1 = code_length(q, "so3")
-    acc = Fraction(0)
-    for j in range(min(n1, h) + 1):
-        inner = Fraction(0)
-        for t in range(j, h + 1):
-            inner += (factorial(t) * stirling2(h, t) * Fraction(1, 3**t)
-                      * 2 ** (t - j) * comb(n1 - j, n1 - t))
-        acc += (-1) ** j * csp[j] * inner
-    return q * acc
+    return _check("theorem-a2", field, hmax, "T12SK", ("o3", "sp2"), _a_lhs, _a2_rhs,
+                  note=_A2_NOTE)
 
 
 def _l_lhs(field: Field, h: int, sk) -> Fraction:
@@ -207,20 +170,14 @@ def _l_lhs(field: Field, h: int, sk) -> Fraction:
     return 2 * (2 * q // 3) ** h * acc
 
 
+def _l_rhs(field: Field, h: int, sk, csp) -> Fraction:
+    """Right side of theorem-l; it reads only the code, not the moments sk."""
+    return field.q * pless_sum(code_length(field.q, "so3"), h, csp)
+
+
 def theorem_l(field: Field, hmax: int) -> list[RecursionReport]:
     """Check the Sp(2,q)-code moment identity for the square moments SK^h."""
-    _check_hmax(hmax)
-    mt = moment_table(field, hmax)
-    csp = truncated_counts(field, "sp2", hmax)
-    digest = _digest(csp)
-    sk = {h: Fraction(mt.value("SK", h)) for h in range(hmax + 1)}
-    out = []
-    for h in range(1, hmax + 1):
-        lhs = _l_lhs(field, h, sk)
-        rhs = _l_rhs(field, h, csp)
-        out.append(RecursionReport("theorem-l", field.q, h, lhs, rhs,
-                                   lhs == rhs, digest))
-    return out
+    return _check("theorem-l", field, hmax, "SK", ("sp2",), _l_lhs, _l_rhs)
 
 
 def corollary_n(field: Field) -> list[RecursionReport]:
@@ -266,9 +223,8 @@ def solve_sk(field: Field, hmax: int) -> dict[int, Fraction]:
     q = field.q
     sk: dict[int, Fraction] = {0: Fraction(q - 1, 2)}
     for h in range(1, hmax + 1):
-        partial = Fraction(0)
-        for j in range(h):
-            partial += (-1) ** j * comb(h, j) * (q * q - 1) ** (h - j) * sk[j]
-        top = _l_rhs(field, h, csp) / (2 * (2 * q // 3) ** h) - partial
-        sk[h] = (-1) ** h * top
+        # the left side is linear in SK^h with coefficient (-1)^h 2 (2q/3)^h
+        sk[h] = Fraction(0)
+        gap = _l_rhs(field, h, sk, csp) - _l_lhs(field, h, sk)
+        sk[h] = (-1) ** h * gap / (2 * (2 * q // 3) ** h)
     return sk

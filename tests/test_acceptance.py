@@ -10,10 +10,12 @@ verdicts carry the same information) and the timed criteria assert their
 stated budgets.
 """
 
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from klc.charsums import (
     kloosterman_all,
@@ -196,12 +198,15 @@ def test_criterion_12_property_suite(f3, f9, f27):
 
 
 def test_criterion_13_performance_envelope():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     t0 = time.perf_counter()
     ok = True
     for r in ("1", "2", "3"):
         proc = subprocess.run(
             [sys.executable, "-m", "klc.cli", "verify", "all", "--q-exponent", r],
-            capture_output=True, text=True, timeout=280,
+            capture_output=True, text=True, timeout=280, env=env,
         )
         ok = ok and proc.returncode == 0
     elapsed = time.perf_counter() - t0

@@ -1,8 +1,13 @@
 import ast
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -119,6 +124,17 @@ def test_enumerate_with_oracle(runner):
     assert body[0]["index"] == 0 and body[0]["e00"] == 1
     assert body[-2] == {"count": 24, "expected": 24, "pass": True}
     assert body[-1] == {"oracle": "brute-force filter", "pass": True}
+
+
+def test_enumerate_refuses_large_q(runner):
+    """The rows come from the materialized group, so q <= 27 bounds them."""
+    t0 = time.perf_counter()
+    result = runner.invoke(cli.main, ["group", "enumerate", "--group", "o3",
+                                      "--q-exponent", "4"])
+    assert time.perf_counter() - t0 < 10.0
+    assert result.exit_code == 2
+    assert "Error:" in result.output and "q <= 27" in result.output
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_enumerate_oracle_needs_q3(runner):
@@ -269,3 +285,93 @@ def test_bad_modulus_flags(runner):
         result = runner.invoke(cli.main, ["verify", "corollary-n"] + flags)
         assert result.exit_code == 2, flags
 
+
+
+# ---------------------------------------------------------------------------
+# exit codes of every leaf command
+
+# A small valid call per leaf command, and flags that make it a usage error
+# (a repeated option overrides the earlier value).
+LEAF_TABLE = [
+    (["charsums", "moments", "--hmax", "1"], ["--modulus", "1,2,3"]),
+    (["charsums", "salie", "--hmax", "1"], ["--hmax", "5"]),
+    (["charsums", "prop-e", "--mmax", "1"], ["--q-exponent", "2", "--modulus", "1,1,1"]),
+    (["group", "enumerate", "--group", "sp2"], ["--modulus", "1,2,3"]),
+    (["group", "spectrum", "--group", "so3"], ["--modulus", "a,b"]),
+    (["group", "gauss", "--group", "so3", "--a", "1"], ["--a", "0"]),
+    (["code", "dual-spectrum", "--code", "so3"], ["--modulus", "a,b"]),
+    (["code", "spectrum", "--code", "sp2"], ["--truncate", "-1"]),
+    (["code", "pless", "--code", "sp2", "--h", "2"], ["--h", "9"]),
+    (["verify", "theorem-a1", "--hmax", "2"], ["--hmax", "0"]),
+    (["verify", "theorem-a2", "--hmax", "2"], ["--modulus", "1,2,3"]),
+    (["verify", "theorem-l", "--hmax", "2"], ["--q-exponent", "9"]),
+    (["verify", "corollary-n"], ["--q-exponent", "2", "--modulus", "1,1,1"]),
+    (["verify", "all"], ["--q-exponent", "4"]),
+]
+
+# Runs each argument list from stdin through CliRunner; prints
+# [exit code, output, raised a non-SystemExit exception] per call.
+_TABLE_SCRIPT = """
+import json, sys
+from click.testing import CliRunner
+import klc.cli as cli
+runner = CliRunner()
+out = []
+for args in json.load(sys.stdin):
+    res = runner.invoke(cli.main, args)
+    out.append([res.exit_code, res.output,
+                res.exception is not None and not isinstance(res.exception, SystemExit)])
+json.dump(out, sys.stdout)
+"""
+
+
+def _leaf_commands(group, prefix=()):
+    for name, cmd in group.commands.items():
+        if isinstance(cmd, click.Group):
+            yield from _leaf_commands(cmd, prefix + (name,))
+        else:
+            yield prefix + (name,)
+
+
+def _table_calls():
+    """(arguments, expected exit code) for every call the table makes."""
+    return [(args, code) for good, bad in LEAF_TABLE
+            for args, code in ((good, 0), (good + bad, 2))]
+
+
+def _check_table(outcomes):
+    for (args, expected), (code, output, crashed) in zip(_table_calls(), outcomes,
+                                                         strict=True):
+        assert (code, crashed) == (expected, False), (args, output)
+        assert "Traceback" not in output, args
+        if expected == 0:
+            rows = [json.loads(ln) for ln in output.splitlines() if ln]
+            assert rows[0]["command"] == " ".join(args[:2]), args
+            assert len(rows) > 1, args
+        else:
+            assert "Error:" in output, args
+
+
+def test_leaf_table_covers_every_command():
+    assert sorted(tuple(good[:2]) for good, _ in LEAF_TABLE) == sorted(_leaf_commands(cli.main))
+
+
+def test_leaf_commands_exit_codes(runner):
+    outcomes = []
+    for args, _ in _table_calls():
+        res = runner.invoke(cli.main, args)
+        outcomes.append((res.exit_code, res.output,
+                         res.exception is not None and not isinstance(res.exception, SystemExit)))
+    _check_table(outcomes)
+
+
+def test_leaf_commands_exit_codes_optimized():
+    """The same table under python -O, where an assert would be stripped."""
+    src = str(Path(klc.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-O", "-c", _TABLE_SCRIPT],
+                          input=json.dumps([args for args, _ in _table_calls()]),
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    _check_table(json.loads(proc.stdout))

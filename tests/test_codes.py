@@ -13,6 +13,7 @@ from klc.codes import (
     dual_weight_formula,
     dual_weights,
     pless_check,
+    pless_sum,
     stirling2,
     weight_distribution_dp,
     weight_distribution_macwilliams,
@@ -258,7 +259,7 @@ def test_sampled_codewords_hit_positive_counts():
 def test_pless_q3(tag):
     f = Field(1)
     counts = weight_distribution_dp(f, tag).counts
-    for h in range(5):
+    for h in range(9):
         rep = pless_check(f, tag, h, counts=counts)
         assert rep.equal, f"h={h}: {rep.lhs} != {rep.rhs}"
     rep0 = pless_check(f, tag, 0, counts=counts)
@@ -272,6 +273,25 @@ def test_pless_q9(tag, q9_dists):
     for h in (1, 2, 3, 4):
         rep = pless_check(f, tag, h, counts=counts)
         assert rep.equal
+
+
+def test_pless_sum_full_space_oracle():
+    """The dual of GF(3)^n is the zero word alone, so 3^n pless_sum(n, h, [1])
+    is the h-th power moment of the weights of all 3^n words."""
+    for n in range(13):
+        for h in range(9):
+            moment = sum(j**h * comb(n, j) * 2**j for j in range(n + 1))
+            assert 3**n * pless_sum(n, h, [1]) == moment, (n, h)
+
+
+def test_pless_non_integer_rhs_is_a_verification_error(monkeypatch):
+    """With a length that does not fit the dual spectrum, 3^(N-r) pless_sum
+    leaves a denominator; that is a failed invariant, not a verdict."""
+    f = Field(1)
+    counts = weight_distribution_dp(f, "so3").counts
+    monkeypatch.setattr(codes, "code_length", lambda q, tag: 2)
+    with pytest.raises(VerificationError):
+        pless_check(f, "so3", 4, counts=counts)
 
 
 def test_pless_default_counts_and_guard():

@@ -41,32 +41,39 @@ def test_corollary_n_alternates_with_r():
 # the recursions
 
 
+Q3_MODULI = (None, [2, 1])
+
+
 def test_theorem_a1_q3():
-    reports = theorem_a1(Field(1), 8)
-    assert len(reports) == 8
-    assert all(rep.equal for rep in reports)
-    assert [rep.h for rep in reports] == list(range(1, 9))
-    # spot-check one height by hand: lhs = (1 + 1/2) T12SK^1 = 3/2 * (-2)
-    assert reports[0].lhs == Fraction(-3)
+    for modulus in Q3_MODULI:
+        reports = theorem_a1(Field(1, modulus), 8)
+        assert len(reports) == 8
+        assert all(rep.equal for rep in reports)
+        assert [rep.h for rep in reports] == list(range(1, 9))
+        # spot-check one height by hand: lhs = (1 + 1/2) T12SK^1 = 3/2 * (-2)
+        assert reports[0].lhs == Fraction(-3)
 
 
 def test_theorem_a2_q3():
-    reports = theorem_a2(Field(1), 8)
-    assert all(rep.equal for rep in reports)
-    assert all(rep.note == "exponent base s read as 2" for rep in reports)
+    for modulus in Q3_MODULI:
+        reports = theorem_a2(Field(1, modulus), 8)
+        assert all(rep.equal for rep in reports)
+        assert all(rep.note == "exponent base s read as 2" for rep in reports)
 
 
 def test_theorem_l_q3():
-    reports = theorem_l(Field(1), 8)
-    assert all(rep.equal for rep in reports)
-    assert all(rep.note is None for rep in reports)
+    for modulus in Q3_MODULI:
+        reports = theorem_l(Field(1, modulus), 8)
+        assert all(rep.equal for rep in reports)
+        assert all(rep.note is None for rep in reports)
 
 
 @pytest.mark.parametrize("checker", [theorem_a1, theorem_a2, theorem_l])
 def test_recursions_q9(checker):
-    reports = checker(Field(2), 4)
-    assert all(rep.equal for rep in reports)
-    assert all(rep.q == 9 for rep in reports)
+    for modulus in (None, [2, 1, 1]):
+        reports = checker(Field(2, modulus), 4)
+        assert all(rep.equal for rep in reports), modulus
+        assert all(rep.q == 9 for rep in reports)
 
 
 def test_theorem_a1_q27_truncated():
