@@ -6,8 +6,9 @@ with a tolerance.
 """
 
 from .charsums import (MomentTable, a_r_closed_form, a_r_sum, delta, delta_table,
-                       kloosterman, kloosterman_all, kloosterman_gl,
-                       kloosterman_gl_brute, moment_table, prop_e_check, salie_check)
+                       delta_table_brute, kloosterman, kloosterman_all,
+                       kloosterman_all_brute, kloosterman_gl, kloosterman_gl_brute,
+                       moment_table, prop_e_check, salie_check)
 from .codes import (WeightDistribution, code_dimension, code_length, dual_codeword,
                     dual_spectrum, dual_weight_formula, dual_weights, pless_check,
                     pless_sum, stirling2, weight_distribution_dp,
@@ -30,10 +31,11 @@ __all__ = [
     "a_r_closed_form", "a_r_sum", "additive_char", "brute_force_orthogonal",
     "check_gauss_sum", "check_trace_spectrum", "closure_spot_check",
     "code_dimension", "code_length", "corollary_n", "coset_count",
-    "default_modulus", "delta", "delta_table", "dual_codeword", "dual_spectrum",
-    "dual_weight_formula", "dual_weights", "enumerate_group",
+    "default_modulus", "delta", "delta_table", "delta_table_brute", "dual_codeword",
+    "dual_spectrum", "dual_weight_formula", "dual_weights", "enumerate_group",
     "gauss_sum_closed", "group_order", "is_irreducible", "iter_group",
-    "kloosterman", "kloosterman_all", "kloosterman_gl", "kloosterman_gl_brute",
+    "kloosterman", "kloosterman_all", "kloosterman_all_brute", "kloosterman_gl",
+    "kloosterman_gl_brute",
     "mat_mul", "mat_trace", "moment_table", "pless_check", "pless_sum",
     "predict_t12sk", "prop_e_check", "q_binomial", "salie_check", "solve_sk", "stirling2",
     "theorem_a1", "theorem_a2", "theorem_l", "trace_spectrum",

@@ -2,9 +2,10 @@
 
 The basic object is K(a) = sum over units alpha of lambda(alpha + a/alpha),
 with lambda the canonical additive character into Z[zeta].  Every sum here
-is accumulated in the Eisenstein ring and only converted to an ordinary
-integer through an assertion that the imaginary part vanished; realness is
-a theorem, and we treat any violation as a bug.
+is either accumulated in the Eisenstein ring or counted by the residue of
+its trace, and only converted to an ordinary integer once its imaginary
+part is shown to vanish; realness is a theorem, and we treat any violation
+as a bug.
 
 Moment families (h-th power moments of K over various index sets):
 
@@ -13,9 +14,14 @@ Moment families (h-th power moments of K over various index sets):
     T0SK  K(a^2) over units a with trace(a) == 0
     T12SK K(a^2) over units a with trace(a) != 0
 
-All moments are computed by direct enumeration of the index set; none of
-the recursion identities verified elsewhere in this package are used here,
-so these tables can serve as an independent oracle for them.
+The table of every K(a) is read off one cyclic convolution of the trace
+sequence of a generator (kloosterman_all), and delta(m, .) is the m-fold
+additive convolution of delta(1, .) (delta_table).  The direct
+enumerations stay as oracles: kloosterman_all_brute sums each K(a) over
+the units, and delta_table_brute enumerates every m-tuple of units.
+Moments then sum powers of K over each index set; none of the recursion
+identities verified elsewhere in this package are used here, so these
+tables can serve as an independent oracle for them.
 """
 
 from __future__ import annotations
@@ -41,12 +47,66 @@ def _char_table(field: Field) -> tuple[CycInt, ...]:
     return tuple(additive_char(field, x) for x in field.elements())
 
 
+def _pack(bits, width: int) -> int:
+    """The 0/1 sequence bits as one int, bits[i] in the width-byte slot i."""
+    buf = bytearray(len(bits) * width)
+    buf[::width] = bytes(bits)
+    return int.from_bytes(buf, "little")
+
+
+def _unpack(x: int, n: int, width: int) -> list[int]:
+    """The n width-byte slots of x, least significant first."""
+    buf = x.to_bytes(n * width, "little")
+    return [int.from_bytes(buf[k:k + width], "little") for k in range(0, n * width, width)]
+
+
 @lru_cache(maxsize=None)
 def kloosterman_all(field: Field):
     """K(a) for every unit a, as a tuple indexed by a (index 0 holds None).
 
-    Each value is asserted real and checked against the Weil bound
-    K(a)^2 <= 4q before being returned.
+    With a = g^l and alpha = g^i, the trace is additive, so
+    tr(alpha + a/alpha) = t_i + t_(l-i) for t_i = tr(g^i).  Hence
+    K(g^l) = N_0(l) + N_1(l) zeta + N_2(l) zeta^2 with
+    N_s(l) = #{i : t_i + t_(l-i) == s mod 3}, and each N_s is a sum of
+    cyclic convolutions over Z/(q-1) of the indicator sequences
+    [t_i == u].  These are exact Kronecker-substituted int products, one
+    per pair u <= v, with slots wider than any count (every count is at
+    most q - 1).  K is real exactly when N_1 == N_2, and then
+    K = N_0 - N_1; a violation, or a K(a)^2 above the Weil bound 4q,
+    raises VerificationError.  kloosterman_all_brute is the oracle.
+    """
+    q, n = field.q, field.q - 1
+    g = field.generator
+    trace = [field.trace(field.pow(g, i)) for i in range(n)]
+    width = n.bit_length() // 8 + 1
+    ind = [_pack([t == u for t in trace], width) for u in range(3)]
+    low = (1 << (8 * width * n)) - 1
+
+    def conv(u: int, v: int) -> int:
+        prod = ind[u] * ind[v]  # linear product; fold it onto Z/(q-1)
+        return (prod & low) + (prod >> (8 * width * n))
+
+    # ordered pairs (u, v) with u + v == s mod 3; (u, v) and (v, u) agree
+    n0 = _unpack(conv(0, 0) + 2 * conv(1, 2), n, width)
+    n1 = _unpack(conv(2, 2) + 2 * conv(0, 1), n, width)
+    n2 = _unpack(conv(1, 1) + 2 * conv(0, 2), n, width)
+    vals: list = [None] * q
+    for l in range(n):
+        a = field.pow(g, l)
+        if n1[l] != n2[l]:
+            raise VerificationError(
+                f"K({a}) over GF({q}) is not real: counts {n0[l]}, {n1[l]}, {n2[l]}")
+        k = n0[l] - n1[l]
+        if k * k > 4 * q:
+            raise VerificationError(f"Weil bound violated: K({a}) = {k} over GF({q})")
+        vals[a] = k
+    return tuple(vals)
+
+
+def kloosterman_all_brute(field: Field):
+    """Oracle for kloosterman_all: each K(a) summed over the q - 1 units in Z[zeta].
+
+    Costs (q-1)^2 character evaluations; each sum is proved real by CycInt.to_int.
     """
     lam = _char_table(field)
     add, mul, inv = field.add, field.mul, field.inv
@@ -55,10 +115,7 @@ def kloosterman_all(field: Field):
         acc = CycInt(0, 0)
         for alpha in field.units():
             acc = acc + lam[add(alpha, mul(a, inv(alpha)))]
-        k = acc.to_int()
-        if k * k > 4 * field.q:
-            raise VerificationError(f"Weil bound violated: K({a}) = {k} over GF({field.q})")
-        vals.append(k)
+        vals.append(acc.to_int())
     return tuple(vals)
 
 
@@ -178,12 +235,35 @@ def moment_table(field: Field, hmax: int) -> MomentTable:
 
 @lru_cache(maxsize=None)
 def delta_table(field: Field, m: int) -> tuple[int, ...]:
-    """delta(m, beta) for all beta at once, by brute-force tuple enumeration.
+    """delta(m, beta) for all beta at once.
 
     delta(m, beta) counts m-tuples of units (alpha_1..alpha_m) with
     sum(alpha_j + 1/alpha_j) == beta.  For m = 0 the empty sum gives
-    delta(0, beta) = [beta == 0].  Cost is (q-1)^m, hence the m <= 4 bound.
+    delta(0, beta) = [beta == 0].  delta(1, .) is counted over the q - 1
+    units, and delta(m, .) is delta(1, .) convolved with itself m times
+    over (GF(q), +), about q^2/2 additions per fold.  delta_table_brute
+    is the oracle.
     """
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
+    q, add = field.q, field.add
+    d1 = [0] * q
+    for alpha in field.units():
+        d1[add(alpha, field.inv(alpha))] += 1
+    out = [1] + [0] * (q - 1)
+    for _ in range(m):
+        acc = [0] * q
+        for x, cx in enumerate(out):
+            if cx:
+                for y, cy in enumerate(d1):
+                    if cy:
+                        acc[add(x, y)] += cx * cy
+        out = acc
+    return tuple(out)
+
+
+def delta_table_brute(field: Field, m: int) -> tuple[int, ...]:
+    """Oracle for delta_table by enumerating all (q-1)^m tuples, m <= 4."""
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     if m > _DELTA_MAX_M:
@@ -203,6 +283,9 @@ def delta_table(field: Field, m: int) -> tuple[int, ...]:
 
 
 def delta(field: Field, m: int, beta: int) -> int:
+    """delta(m, beta) for an element beta of GF(q)."""
+    if not 0 <= beta < field.q:
+        raise ValueError(f"beta must be an element of GF({field.q}), got {beta}")
     return delta_table(field, m)[beta]
 
 

@@ -245,7 +245,7 @@ def enumerate_group(field: Field, gid: str) -> tuple[Mat, ...]:
     gid = _check_gid(gid)
     if field.q > _ENUMERATE_MAX_Q:
         raise UnsupportedScaleError(
-            f"full materialization bounded at q <= {_ENUMERATE_MAX_Q}; stream with iter_group"
+            f"full materialization bounded at q <= {_ENUMERATE_MAX_Q}, got q = {field.q}"
         )
     elems = tuple(iter_group(field, gid))
     expected = group_order(field.q, gid)

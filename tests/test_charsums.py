@@ -5,8 +5,10 @@ from klc.charsums import (
     a_r_sum,
     delta,
     delta_table,
+    delta_table_brute,
     kloosterman,
     kloosterman_all,
+    kloosterman_all_brute,
     kloosterman_gl,
     kloosterman_gl_brute,
     moment_table,
@@ -14,8 +16,12 @@ from klc.charsums import (
     salie_check,
 )
 from klc.eisenstein import CycInt
-from klc.errors import UnsupportedScaleError
+from klc.errors import UnsupportedScaleError, VerificationError
 from klc.field import Field
+
+# A non-default monic irreducible of each degree, constant term first.
+OTHER_MODULUS = {1: (1, 1), 2: (2, 1, 1), 3: (1, 0, 2, 1), 4: (1, 0, 1, 1, 1),
+                 5: (1, 0, 0, 0, 2, 1)}
 
 # ---------------------------------------------------------------------------
 # the basic sums
@@ -62,6 +68,27 @@ def test_modulus_independence():
     ks1 = sorted(kloosterman_all(f1)[1:])
     ks2 = sorted(kloosterman_all(f2)[1:])
     assert ks1 == ks2
+
+
+@pytest.mark.parametrize("r,modulus", [(r, None) for r in range(1, 7)]
+                         + [(r, OTHER_MODULUS[r]) for r in range(2, 6)])
+def test_kloosterman_all_matches_brute_force(r, modulus):
+    f = Field(r, modulus)
+    assert kloosterman_all(f) == kloosterman_all_brute(f)
+
+
+def test_corrupted_trace_is_a_verification_error():
+    """A trace table that is not a trace breaks the realness of some K(a)."""
+    f = Field(2)
+    g = f.generator
+    f._trace = list(f._trace)
+    f._trace[g] = (f._trace[g] + 1) % 3
+    kloosterman_all.cache_clear()  # an equal Field may have a table cached
+    try:
+        with pytest.raises(VerificationError, match="not real"):
+            kloosterman_all(f)
+    finally:
+        kloosterman_all.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +212,30 @@ def test_delta_guards():
     with pytest.raises(ValueError):
         delta_table(f, -1)
     with pytest.raises(UnsupportedScaleError):
-        delta_table(f, 5)
+        delta_table_brute(f, 5)
+
+
+@pytest.mark.parametrize("modulus", ["default", "other"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_delta_table_matches_brute_force(r, modulus):
+    f = Field(r, OTHER_MODULUS[r] if modulus == "other" else None)
+    for m in range(5):
+        assert delta_table(f, m) == delta_table_brute(f, m)
+
+
+def test_delta_past_the_brute_force_bound():
+    f = Field(1)
+    assert sum(delta_table(f, 6)) == 2**6
+    with pytest.raises(ValueError):
+        delta_table_brute(f, -1)
+
+
+def test_delta_rejects_beta_outside_the_field():
+    f = Field(2)
+    assert delta(f, 1, 8) == delta_table(f, 1)[8]
+    for bad in (-1, 9):
+        with pytest.raises(ValueError, match="beta"):
+            delta(f, 1, bad)
 
 
 # ---------------------------------------------------------------------------

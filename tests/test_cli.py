@@ -236,6 +236,40 @@ def test_verify_theorems_exit_zero(runner):
         assert all(row["equal"] for row in _rows(result)[1:])
 
 
+@pytest.mark.parametrize("r", [7, 8])
+def test_corollary_n_at_large_q(runner, r):
+    result = runner.invoke(cli.main, ["verify", "corollary-n", "--q-exponent", str(r)])
+    assert result.exit_code == 0, result.output
+    body = _rows(result)[1:]
+    assert [row["family"] for row in body] == ["SK", "T0SK", "T12SK"]
+    assert all(row["equal"] and row["lhs"] == row["rhs"] for row in body)
+
+
+def test_moments_at_q6561(runner):
+    result = runner.invoke(cli.main, ["charsums", "moments", "--hmax", "2",
+                                      "--q-exponent", "8"])
+    assert result.exit_code == 0, result.output
+    value = {(row["family"], row["h"]): int(row["value"]) for row in _rows(result)[1:]}
+    for h in range(3):
+        assert 2 * value[("SK", h)] == value[("T0SK", h)] + value[("T12SK", h)]
+
+
+def test_kloosterman_table_is_not_built_at_setup():
+    """Importing the CLI and building a field leave the K table to the command."""
+    code = ("import klc.cli\n"
+            "from klc.charsums import kloosterman_all\n"
+            "from klc.field import Field\n"
+            "Field(7)\n"
+            "print(kloosterman_all.cache_info().currsize)")
+    src = str(Path(klc.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
 def test_package_has_no_assert_statements():
     """Invariants raise VerificationError, which python -O cannot strip."""
     for path in sorted(Path(klc.__file__).parent.glob("*.py")):
