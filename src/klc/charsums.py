@@ -16,7 +16,8 @@ Moment families (h-th power moments of K over various index sets):
 
 The table of every K(a) is read off one cyclic convolution of the trace
 sequence of a generator (kloosterman_all), and delta(m, .) is the m-fold
-additive convolution of delta(1, .) (delta_table).  The direct
+additive convolution of delta(1, .), one fold per m on top of the cached
+delta(m - 1, .) (delta_table).  The direct
 enumerations stay as oracles: kloosterman_all_brute sums each K(a) over
 the units, and delta_table_brute enumerates every m-tuple of units.
 Moments then sum powers of K over each index set; none of the recursion
@@ -239,27 +240,31 @@ def delta_table(field: Field, m: int) -> tuple[int, ...]:
 
     delta(m, beta) counts m-tuples of units (alpha_1..alpha_m) with
     sum(alpha_j + 1/alpha_j) == beta.  For m = 0 the empty sum gives
-    delta(0, beta) = [beta == 0].  delta(1, .) is counted over the q - 1
-    units, and delta(m, .) is delta(1, .) convolved with itself m times
-    over (GF(q), +), about q^2/2 additions per fold.  delta_table_brute
-    is the oracle.
+    delta(0, beta) = [beta == 0], and delta(1, .) is counted over the q - 1
+    units.  For m >= 2, delta(m, .) is one fold of the cached delta(m - 1, .)
+    with delta(1, .) over (GF(q), +), about q^2/2 additions, so the tables
+    for m = 0..mmax cost mmax folds in all.  The lower tables are requested
+    in ascending order first, which keeps the recursion one level deep at
+    any m.  delta_table_brute is the oracle.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     q, add = field.q, field.add
-    d1 = [0] * q
-    for alpha in field.units():
-        d1[add(alpha, field.inv(alpha))] += 1
-    out = [1] + [0] * (q - 1)
-    for _ in range(m):
-        acc = [0] * q
-        for x, cx in enumerate(out):
-            if cx:
-                for y, cy in enumerate(d1):
-                    if cy:
-                        acc[add(x, y)] += cx * cy
-        out = acc
-    return tuple(out)
+    if m == 0:
+        return tuple(1 if beta == 0 else 0 for beta in range(q))
+    acc = [0] * q
+    if m == 1:
+        for alpha in field.units():
+            acc[add(alpha, field.inv(alpha))] += 1
+        return tuple(acc)
+    for k in range(2, m - 1):
+        delta_table(field, k)
+    d1 = [(y, cy) for y, cy in enumerate(delta_table(field, 1)) if cy]
+    for x, cx in enumerate(delta_table(field, m - 1)):
+        if cx:
+            for y, cy in d1:
+                acc[add(x, y)] += cx * cy
+    return tuple(acc)
 
 
 def delta_table_brute(field: Field, m: int) -> tuple[int, ...]:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import comb
 from random import Random
 from typing import Iterator
@@ -258,23 +259,23 @@ def enumerate_group(field: Field, gid: str) -> tuple[Mat, ...]:
     return elems
 
 
-def brute_force_orthogonal(field: Field, special: bool = False) -> list[Mat]:
-    """All 3x3 matrices over GF(3) satisfying the defining relation.
+def brute_force_group(field: Field, gid: str) -> list[Mat]:
+    """All n x n matrices over GF(3) that the group's defining relation admits.
 
-    Scans 3^9 candidate matrices; only sensible (and only allowed) at q = 3.
+    Scans 3^9 candidates for O(3)/SO(3) and 3^4 for Sp(2); only sensible
+    (and only allowed) at q = 3.  The oracle for enumerate_group.
     """
+    gid = _check_gid(gid)
     if field.q != 3:
-        raise ValueError("the 3^9 filter oracle is only available at q = 3")
-    check = is_special_orthogonal if special else is_orthogonal
-    out = []
-    rows = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
-    for r1 in rows:
-        for r2 in rows:
-            for r3 in rows:
-                w = (r1, r2, r3)
-                if check(field, w):
-                    out.append(w)
-    return out
+        raise ValueError("the brute-force filter oracle is only available at q = 3")
+    n = 2 if gid == "sp2" else 3
+    rows = list(product(range(3), repeat=n))
+    return [w for w in product(rows, repeat=n) if _PREDICATES[gid](field, w)]
+
+
+def brute_force_orthogonal(field: Field, special: bool = False) -> list[Mat]:
+    """SO(3, 3) (special) or O(3, 3) by the 3^9 filter of brute_force_group."""
+    return brute_force_group(field, "so3" if special else "o3")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from klc.charsums import (
@@ -228,6 +230,12 @@ def test_delta_past_the_brute_force_bound():
     assert sum(delta_table(f, 6)) == 2**6
     with pytest.raises(ValueError):
         delta_table_brute(f, -1)
+
+
+def test_delta_table_past_the_recursion_limit():
+    """Each table folds the cached one below it, without recursing m levels deep."""
+    m = sys.getrecursionlimit() + 100
+    assert sum(delta_table(Field(1), m)) == 2**m
 
 
 def test_delta_rejects_beta_outside_the_field():

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ import klc
 import klc.cli as cli
 from klc.eisenstein import ZETA
 from klc.field import Field
+from klc.groups import group_order
 from klc.moments import RecursionReport
 
 
@@ -115,15 +117,24 @@ def test_prop_e_rows(runner):
 # group commands
 
 
-def test_enumerate_with_oracle(runner):
-    result = runner.invoke(cli.main, ["group", "enumerate", "--group", "so3",
+@pytest.mark.parametrize("gid", ["so3", "o3", "sp2"])
+def test_enumerate_with_oracle(runner, gid):
+    result = runner.invoke(cli.main, ["group", "enumerate", "--group", gid,
                                       "--oracle"])
     assert result.exit_code == 0
     body = _rows(result)[1:]
-    assert len(body) == 24 + 2  # elements, count row, oracle row
-    assert body[0]["index"] == 0 and body[0]["e00"] == 1
-    assert body[-2] == {"count": 24, "expected": 24, "pass": True}
+    order = group_order(3, gid)
+    assert len(body) == order + 2  # elements, count row, oracle row
+    assert body[0]["index"] == 0 and body[0]["e00"] == (0 if gid == "sp2" else 1)
+    assert body[-2] == {"count": order, "expected": order, "pass": True}
     assert body[-1] == {"oracle": "brute-force filter", "pass": True}
+
+
+def test_enumerate_oracle_mismatch_exits_one(runner, monkeypatch):
+    monkeypatch.setattr(cli, "brute_force_group", lambda field, gid: [])
+    result = runner.invoke(cli.main, ["group", "enumerate", "--group", "sp2", "--oracle"])
+    assert result.exit_code == 1
+    assert _rows(result)[-1] == {"oracle": "brute-force filter", "pass": False}
 
 
 def test_enumerate_refuses_large_q(runner):
@@ -409,3 +420,83 @@ def test_leaf_commands_exit_codes_optimized():
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     _check_table(json.loads(proc.stdout))
+
+
+# ---------------------------------------------------------------------------
+# output contract
+
+# SHA-256 of each call's stdout, JSON header line dropped (CSV is hashed
+# whole): every leaf command at r = 1, one CSV call and one non-default
+# modulus.  Recorded by running these calls through CliRunner at commit
+# eb55144, before the commands shared one leaf runner; a digest moves only
+# when an emitted row does.
+CONTRACT_DIGESTS = {
+    "charsums moments --hmax 1":
+        "7b5cf93ce9c4ac5bb7b4e251a0d2cd021c5e2d56e1dcb52add01372e8b9f119b",
+    "charsums salie --hmax 1":
+        "52160355f63521ec3f34f46875b8bf8c366b45453444a54b2aa1d55dd37e51f8",
+    "charsums prop-e --mmax 1":
+        "ca270fa1c0817625549f6d7707ba7d116e6a19c9ac26e1aec5b24f2dc052fc7f",
+    "group enumerate --group sp2":
+        "1517a8b52d782c458c2106ef9b50928c8070e9b897c1df06ee8ca44035fe8e8e",
+    "group spectrum --group so3":
+        "4dea59980b758716d21bb5e42d5ff5d4b27adc823ecc51be9ab4c1baece17956",
+    "group gauss --group so3 --a 1":
+        "67d1a9235650f2d5d9832d70036ca8ef142f76efc45f349fbe631d2dc682c868",
+    "code dual-spectrum --code so3":
+        "fca75c1b1acc849186d39b7bf911bc38992ad6b7c9709b4bba0f83b2e45e06c6",
+    "code spectrum --code sp2":
+        "afbdff59ab23ab77bf28d2cb7e0a9caa67ccc5669c18655f9ed5f59744ea3dd6",
+    "code pless --code sp2 --h 2":
+        "a339215f3ad539345d899fd3e31a63908990aced0263a8bd6875fddcf1e9a410",
+    "verify theorem-a1 --hmax 2":
+        "d73936f0c17594c03206f9e5a7a98275cfdebb5eca6d36bae0b60bcddd89425e",
+    "verify theorem-a2 --hmax 2":
+        "fddafbf4f8dd1b49975fa179e37181b2b0471446ae6d21bb54f974369dbd351c",
+    "verify theorem-l --hmax 2":
+        "091aa821b9ccfd871d30aa8d451555ee30aaddca564934a681c6d297093b6a8f",
+    "verify corollary-n":
+        "22ba5ee3d67c19173c08eeb4b53aec802aabbb34de10b811b43bc9763da4b5e3",
+    "verify all":
+        "dd8e7c12bb68ba1d6f0bd163415a1dac2bd5eae92e942281a7f3ba6c3b33ccd5",
+    "verify all --output csv":
+        "ad26663557b13fdb9b18ff2e8024bbf9a756d36277037e0dfbcef52798cb2874",
+    "verify theorem-a2 --hmax 4 --q-exponent 2 --modulus 2,1,1":
+        "35ddb8702952b5995796aaf2f59925af7406b1dcb2b6f3787c5e8c73b190b3e7",
+}
+
+# The Error: line of each usage-error call in LEAF_TABLE, in table order,
+# recorded the same way.
+CONTRACT_ERRORS = [
+    "Error: modulus [1, 2, 3] has degree 2, expected 1",
+    "Error: Invalid value for '--hmax': 5 is not in the range 1<=x<=4.",
+    "Error: modulus [1, 1, 1] is reducible over GF(3)",
+    "Error: modulus [1, 2, 3] has degree 2, expected 1",
+    "Error: --modulus expects comma-separated integers, got 'a,b'",
+    "Error: a must be a unit of GF(3), got 0",
+    "Error: --modulus expects comma-separated integers, got 'a,b'",
+    "Error: truncate_at must be nonnegative, got -1",
+    "Error: Invalid value for '--h': 9 is not in the range 0<=x<=8.",
+    "Error: Invalid value for '--hmax': 0 is not in the range 1<=x<=16.",
+    "Error: modulus [1, 2, 3] has degree 2, expected 1",
+    "Error: Invalid value for '--q-exponent': 9 is not in the range 1<=x<=8.",
+    "Error: modulus [1, 1, 1] is reducible over GF(3)",
+    "Error: verify all supports r in {1, 2, 3}",
+]
+
+
+def test_output_contract_digests(runner):
+    assert {" ".join(good) for good, _ in LEAF_TABLE} <= set(CONTRACT_DIGESTS)
+    for call, digest in CONTRACT_DIGESTS.items():
+        args = call.split()
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 0, call
+        body = result.output if "csv" in args else result.output.split("\n", 1)[1]
+        assert hashlib.sha256(body.encode()).hexdigest() == digest, call
+
+
+def test_output_contract_usage_errors(runner):
+    for (good, bad), error in zip(LEAF_TABLE, CONTRACT_ERRORS, strict=True):
+        result = runner.invoke(cli.main, good + bad)
+        assert result.exit_code == 2, good + bad
+        assert [ln for ln in result.output.splitlines() if ln.startswith("Error:")] == [error]

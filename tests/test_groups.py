@@ -8,6 +8,7 @@ from klc.errors import UnsupportedScaleError
 from klc.field import Field
 from klc.groups import (
     GROUPS,
+    brute_force_group,
     brute_force_orthogonal,
     check_gauss_sum,
     check_trace_spectrum,
@@ -116,6 +117,15 @@ def test_orthogonal_matches_brute_force(special):
 def test_brute_force_only_at_q3():
     with pytest.raises(ValueError):
         brute_force_orthogonal(Field(2))
+
+
+@pytest.mark.parametrize("gid", GROUPS)
+def test_brute_force_group_matches_enumeration(gid):
+    """The 3^9 (O(3), SO(3)) and 3^4 (Sp(2)) filters give the enumerated groups."""
+    f = Field(1)
+    assert sorted(brute_force_group(f, gid)) == sorted(enumerate_group(f, gid))
+    with pytest.raises(ValueError):
+        brute_force_group(Field(2), gid)
 
 
 @pytest.mark.parametrize("r", [1, 2])
