@@ -39,6 +39,7 @@ from .field import Field
 FAMILIES = ("MK", "SK", "T0SK", "T12SK")
 
 _DELTA_MAX_M = 4
+_DELTA_BLOCK = 128
 _SALIE_MAX_H = 4
 _PROP_E_MAX_M = 4
 
@@ -243,9 +244,10 @@ def delta_table(field: Field, m: int) -> tuple[int, ...]:
     delta(0, beta) = [beta == 0], and delta(1, .) is counted over the q - 1
     units.  For m >= 2, delta(m, .) is one fold of the cached delta(m - 1, .)
     with delta(1, .) over (GF(q), +), about q^2/2 additions, so the tables
-    for m = 0..mmax cost mmax folds in all.  The lower tables are requested
-    in ascending order first, which keeps the recursion one level deep at
-    any m.  delta_table_brute is the oracle.
+    for m = 0..mmax cost mmax folds in all.  A cold call first primes
+    delta(m - B, .) for the block B = _DELTA_BLOCK, so the recursion is
+    about m/B + B calls deep and a cold call makes O(m) cache lookups.
+    delta_table_brute is the oracle.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
@@ -257,8 +259,8 @@ def delta_table(field: Field, m: int) -> tuple[int, ...]:
         for alpha in field.units():
             acc[add(alpha, field.inv(alpha))] += 1
         return tuple(acc)
-    for k in range(2, m - 1):
-        delta_table(field, k)
+    if m > _DELTA_BLOCK + 1:
+        delta_table(field, m - _DELTA_BLOCK)
     d1 = [(y, cy) for y, cy in enumerate(delta_table(field, 1)) if cy]
     for x, cx in enumerate(delta_table(field, m - 1)):
         if cx:

@@ -24,19 +24,19 @@ from datetime import datetime, timezone
 import click
 
 from .battery import battery_rows
-from .charsums import moment_table, prop_e_check, salie_check
+from .charsums import _PROP_E_MAX_M, _SALIE_MAX_H, moment_table, prop_e_check, salie_check
 from .codes import (dual_spectrum, pless_check, weight_distribution_dp,
                     weight_distribution_macwilliams)
 from .errors import UnsupportedScaleError, VerificationError
-from .field import Field
+from .field import _MAX_R, Field
 from .groups import (GROUPS, brute_force_group, check_gauss_sum, check_trace_spectrum,
                      enumerate_group, group_order)
-from .moments import corollary_n, theorem_a1, theorem_a2, theorem_l
+from .moments import _MAX_HMAX, corollary_n, theorem_a1, theorem_a2, theorem_l
 
 _FLAG_KEYS = ("equal", "pass")
 
 _FIELD_OPTIONS = (
-    click.option("--q-exponent", type=click.IntRange(1, 8), default=1,
+    click.option("--q-exponent", type=click.IntRange(1, _MAX_R), default=1,
                  show_default=True, help="Exponent r of q = 3^r."),
     click.option("--modulus", type=str, default=None,
                  help="Modulus coefficients, constant term first, comma separated."),
@@ -122,7 +122,7 @@ for _sub in (charsums_cmd, group_cmd, code_cmd, verify_cmd):
 
 _GROUP = click.option("--group", "gid", type=click.Choice(GROUPS), required=True)
 _CODE = click.option("--code", "tag", type=click.Choice(GROUPS), required=True)
-_HMAX = click.option("--hmax", type=click.IntRange(1, 16), default=4, show_default=True)
+_HMAX = click.option("--hmax", type=click.IntRange(1, _MAX_HMAX), default=4, show_default=True)
 
 
 @leaf(charsums_cmd, "moments",
@@ -133,7 +133,7 @@ def charsums_moments(field, seed, hmax):
 
 
 @leaf(charsums_cmd, "salie",
-      click.option("--hmax", type=click.IntRange(1, 4), default=2, show_default=True))
+      click.option("--hmax", type=click.IntRange(1, _SALIE_MAX_H), default=2, show_default=True))
 def charsums_salie(field, seed, hmax):
     """Report the Salie recurrence for MK^h (stated at prime q)."""
     return [{"q": x.q, "h": x.h, "lhs": str(x.lhs), "rhs": str(x.rhs), "equal": x.equal}
@@ -141,7 +141,7 @@ def charsums_salie(field, seed, hmax):
 
 
 @leaf(charsums_cmd, "prop-e",
-      click.option("--mmax", type=click.IntRange(0, 4), default=4, show_default=True))
+      click.option("--mmax", type=click.IntRange(0, _PROP_E_MAX_M), default=4, show_default=True))
 def charsums_prop_e(field, seed, mmax):
     """Check the twisted moment identity against the tuple counts delta."""
     return [{"q": x.q, "m": x.m, "beta": x.beta, "lhs": str(x.lhs), "rhs": str(x.rhs),

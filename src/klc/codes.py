@@ -13,8 +13,9 @@ routes and must agree coefficient by coefficient:
     a codeword of weight j picks nu_beta coordinates set to 1 and mu_beta
     set to 2 among the n(beta) positions with trace beta, subject to
     sum (nu_beta - mu_beta) beta == 0; the DP tracks (weight, that partial
-    sum) with per-beta transitions bucketed by (nu - mu) mod 3, which is
-    all that matters for the shift since the additive group has exponent 3;
+    sum).  Since the additive group has exponent 3, only (nu - mu) mod 3
+    moves the sum, and the per-beta transition rows for the three residues
+    have closed forms, the two nonzero residues sharing one row;
 
   * the MacWilliams transform of the q-word dual spectrum.  The dual
     weights w(a) = sum_beta n(beta) [tr(a beta) != 0] are read off the
@@ -178,21 +179,15 @@ def code_trace_counts(field: Field, tag: str) -> tuple[int, ...]:
     return trace_spectrum_closed(field, _check_tag(tag))
 
 
-def _site_polys(n: int, cap: int) -> list[list[int]]:
-    """Per-position-class transition polynomials bucketed by (nu - mu) mod 3.
-
-    R[k][d] = sum of multinomials C(n; nu, mu) over nu + mu = d <= cap with
-    nu - mu congruent to k mod 3 (the multinomial is zero when nu + mu > n).
+def _site_rows(n: int, cap: int) -> tuple[list[int], list[int]]:
+    """Rows R_0 and R_1 = R_2 of a class of n positions: R_k[d] sums the
+    multinomials C(n; nu, mu) over nu + mu = d <= cap with nu - mu == k mod 3.
+    Filtering (1 + yz + y/z)^n by the cube roots of unity z gives the closed
+    forms below; 2^d == (-1)^d mod 3 makes both divisions exact.
     """
-    top = min(n, cap)
-    rows = [[0] * (top + 1) for _ in range(3)]
-    for nu in range(top + 1):
-        c_nu = comb(n, nu)
-        for mu in range(top - nu + 1):
-            if nu + mu > n:
-                break
-            rows[(nu - mu) % 3][nu + mu] += c_nu * comb(n - nu, mu)
-    return rows
+    ds = range(min(n, cap) + 1)
+    return ([comb(n, d) * (2**d + 2 * (-1) ** d) // 3 for d in ds],
+            [comb(n, d) * (2**d - (-1) ** d) // 3 for d in ds])
 
 
 def _conv_acc(target: list[int], col: list[int], poly: list[int], cap: int) -> None:
@@ -207,6 +202,10 @@ def _conv_acc(target: list[int], col: list[int], poly: list[int], cap: int) -> N
 def weight_distribution_dp(field: Field, tag: str,
                            truncate_at: int | None = None) -> WeightDistribution:
     """Weight distribution by the combinatorial dynamic program.
+
+    state[s][w] counts partial words of weight w whose sum of (nu - mu) beta
+    so far is s; class beta pulls each column as
+    new[s] = state[s] R_0 + (state[s - beta] + state[s + beta]) R_1.
 
     Untruncated runs are bounded to N <= 2000; pass truncate_at=J for the
     exact counts C_0..C_J at any supported q.
@@ -226,19 +225,17 @@ def weight_distribution_dp(field: Field, tag: str,
     state[0][0] = 1
     width = 0
     for beta in field.elements():
-        n = counts_beta[beta]
-        rows = _site_polys(n, cap)
-        new_width = min(cap, width + len(rows[0]) - 1)
-        new = [[0] * (new_width + 1) for _ in range(q)]
-        shift = [0, beta, add(beta, beta)]
+        stay, move = _site_rows(counts_beta[beta], cap)
+        width = min(cap, width + len(stay) - 1)
+        minus = field.neg(beta)
+        new = []
         for s in range(q):
-            col = state[s]
-            if not any(col):
-                continue
-            for k in range(3):
-                _conv_acc(new[add(s, shift[k])], col, rows[k], new_width)
+            col = [0] * (width + 1)
+            _conv_acc(col, state[s], stay, width)
+            _conv_acc(col, [x + y for x, y in zip(state[add(s, minus)], state[add(s, beta)])],
+                      move, width)
+            new.append(col)
         state = new
-        width = new_width
     return WeightDistribution(code=tag, counts=tuple(state[0]), truncated_at=truncate_at)
 
 

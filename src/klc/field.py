@@ -12,9 +12,12 @@ t for r = 1, t^2 + 1 for r = 2, and so on.  Any other monic irreducible
 of the right degree can be passed explicitly to work in a different
 polynomial basis.
 
-Multiplicative structure goes through discrete-log tables built once at
-construction from a primitive element, so mul/inv/pow are O(1) lookups.
-Additive structure is digit arithmetic mod 3 (table-backed for small q).
+Multiplicative structure goes through discrete-log tables: the exp table
+is the walk of the first primitive element found, so mul/inv/pow are O(1)
+lookups.  Negation, the trace (F_3-linear, so fixed by the traces of the
+basis monomials t^k) and, for q <= 729, the addition table are built digit
+by digit at construction and read by lookup; above q = 729 add is digit
+arithmetic mod 3.
 """
 
 from __future__ import annotations
@@ -139,49 +142,50 @@ class Field:
 
     def _build_tables(self) -> None:
         q = self.q
-        # Find a primitive element by direct order computation.
-        gen = None
-        for cand in range(2, q):
-            x, n = cand, 1
+        # The first candidate whose walk reaches all q - 1 units is primitive; the walk is exp.
+        for gen in range(2, q):
+            exp, x = [1], gen
             while x != 1:
-                x = self._mul_raw(x, cand)
-                n += 1
-                if n > q:
+                if len(exp) == q:
                     raise FieldConfigError(
                         f"modulus {list(self.modulus)} does not define a field"
                     )
-            if n == q - 1:
-                gen = cand
+                exp.append(x)
+                x = self._mul_raw(x, gen)
+            if len(exp) == q - 1:
                 break
-        if gen is None:  # pragma: no cover - unreachable for a true field
+        else:  # pragma: no cover - unreachable for a true field
             raise FieldConfigError(f"no primitive element found for modulus {list(self.modulus)}")
         self.generator = gen
-        exp = [1] * (q - 1)
-        log = [0] * q
-        for i in range(1, q - 1):
-            exp[i] = self._mul_raw(exp[i - 1], gen)
-            log[exp[i]] = i
         self._exp = exp
-        self._log = log
+        self._log = [0] * q
+        for i, x in enumerate(exp):
+            self._log[x] = i
 
-        if q <= _ADD_TABLE_MAX_Q:
-            self._add_table = [[self._add_slow(x, y) for y in range(q)] for x in range(q)]
-        else:
-            self._add_table = None
-
-        trace = []
-        for x in range(q):
-            t = 0
-            for k in range(self.r):
-                t = self.add(t, self.pow(x, 3**k))
-            if t >= 3:
-                raise VerificationError(f"trace of {x} landed outside the prime field")
-            trace.append(t)
+        # c * 3^k + x (x < 3^k) has digit c at position k: its negation, trace and
+        # addition-table row follow from those of x and the trace t_k of t^k.
+        neg, trace = [0], [0]
+        table = [[0]] if q <= _ADD_TABLE_MAX_Q else None
+        for k in range(self.r):
+            p = 3**k
+            t_k = 0
+            for j in range(self.r):
+                t_k = self._add_slow(t_k, self.pow(p, 3**j))
+            if t_k >= 3:
+                raise VerificationError(f"trace of {p} landed outside the prime field")
+            neg += [(3 - c) * p + v for c in (1, 2) for v in neg]
+            trace += [(v + c * t_k) % 3 for c in (1, 2) for v in trace]
+            if table is not None:
+                table = [[(c + d) % 3 * p + v for d in range(3) for v in row]
+                         for c in range(3) for row in table]
+        self._neg = neg
         self._trace = trace
+        self._add_table = table
 
     # -- arithmetic --------------------------------------------------
 
     def _add_slow(self, x: int, y: int) -> int:
+        """Digit-by-digit sum; the add above q = 729 and the oracle for the table."""
         out, shift = 0, 1
         while x or y:
             out += ((x % 3) + (y % 3)) % 3 * shift
@@ -196,14 +200,7 @@ class Field:
         return self._add_slow(x, y)
 
     def neg(self, x: int) -> int:
-        out, shift = 0, 1
-        while x:
-            d = x % 3
-            if d:
-                out += (3 - d) * shift
-            x //= 3
-            shift *= 3
-        return out
+        return self._neg[x]
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))

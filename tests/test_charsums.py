@@ -238,6 +238,17 @@ def test_delta_table_past_the_recursion_limit():
     assert sum(delta_table(Field(1), m)) == 2**m
 
 
+def test_cold_delta_table_makes_linearly_many_lookups():
+    m = 5000
+    delta_table.cache_clear()
+    try:
+        total = sum(delta_table(Field(1), m))
+        assert delta_table.cache_info().hits < 3 * m
+        assert total == 2**m
+    finally:
+        delta_table.cache_clear()
+
+
 def test_delta_rejects_beta_outside_the_field():
     f = Field(2)
     assert delta(f, 1, 8) == delta_table(f, 1)[8]

@@ -205,6 +205,25 @@ def test_macwilliams_inexact_division_is_a_verification_error(monkeypatch):
         weight_distribution_macwilliams(f, "so3")
 
 
+def _site_rows_by_multinomials(n, cap):
+    """The rows by summing every multinomial C(n; nu, mu) into its bucket."""
+    top = min(n, cap)
+    rows = [[0] * (top + 1) for _ in range(3)]
+    for nu in range(top + 1):
+        for mu in range(top - nu + 1):
+            if nu + mu <= n:
+                rows[(nu - mu) % 3][nu + mu] += comb(n, nu) * comb(n - nu, mu)
+    return rows
+
+
+def test_site_rows_match_the_multinomial_sum():
+    for n in range(41):
+        for cap in sorted({0, 1, 5, n, n + 3}):
+            r0, r1, r2 = _site_rows_by_multinomials(n, cap)
+            assert r1 == r2
+            assert codes._site_rows(n, cap) == (r0, r1)
+
+
 @pytest.mark.parametrize("tag", GROUPS)
 def test_truncation_is_a_prefix(tag):
     f = Field(1)

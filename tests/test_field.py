@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from klc.errors import FieldConfigError
+from klc.errors import FieldConfigError, VerificationError
 from klc.field import Field, default_modulus, is_irreducible
 
 # ---------------------------------------------------------------------------
@@ -45,6 +45,67 @@ def test_explicit_modulus_accepted():
     f = Field(2, (2, 1, 1))  # t^2 + t + 2, the other kind of irreducible
     assert f.q == 9
     assert f.mul(3, 3) == f.from_coeffs((1, 2))  # t^2 = -t - 2 = 2t + 1
+
+
+# ---------------------------------------------------------------------------
+# the tables against their per-entry definitions
+
+
+def _second_modulus(r):
+    """The next irreducible after the default, in encoding order."""
+    default = default_modulus(r)
+    for m in range(3**r):
+        coeffs = tuple((m // 3**k) % 3 for k in range(r)) + (1,)
+        if coeffs != default and is_irreducible(coeffs):
+            return coeffs
+
+
+def _neg_by_digits(x):
+    out, shift = 0, 1
+    while x:
+        out += (-(x % 3) % 3) * shift
+        x //= 3
+        shift *= 3
+    return out
+
+
+def _primes(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+@pytest.mark.parametrize("second", [False, True])
+def test_tables_match_their_definitions(r, second):
+    f = Field(r, _second_modulus(r) if second else None)
+    q = f.q
+    # exp is the walk of the generator by raw products, log inverts it
+    assert len(f._exp) == q - 1 and f._exp[0] == 1
+    for i in range(1, q - 1):
+        assert f._exp[i] == f._mul_raw(f._exp[i - 1], f.generator)
+    assert f._mul_raw(f._exp[-1], f.generator) == 1
+    assert sorted(f._exp) == list(range(1, q))
+    assert all(f._log[x] == i for i, x in enumerate(f._exp))
+    # the generator is the smallest element of order q - 1
+    for c in range(2, f.generator):
+        assert any(f.pow(c, (q - 1) // p) == 1 for p in _primes(q - 1))
+    for x in f.elements():
+        assert f.neg(x) == _neg_by_digits(x)
+        tr = 0
+        for j in range(r):
+            tr = f._add_slow(tr, f.pow(x, 3**j))
+        assert f.trace(x) == tr
+    if q <= 729:
+        rows = f.elements() if q <= 243 else range(0, q, 7)
+        for x in rows:
+            assert f._add_table[x] == [f._add_slow(x, y) for y in f.elements()]
+    else:
+        assert f._add_table is None
+
+
+def test_trace_outside_the_prime_field_is_a_verification_error(monkeypatch):
+    monkeypatch.setattr(Field, "_add_slow", lambda self, x, y: x + y + 3)
+    with pytest.raises(VerificationError, match="outside the prime field"):
+        Field(2)
 
 
 # ---------------------------------------------------------------------------
