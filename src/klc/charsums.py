@@ -2,10 +2,10 @@
 
 The basic object is K(a) = sum over units alpha of lambda(alpha + a/alpha),
 with lambda the canonical additive character into Z[zeta].  Every sum here
-is either accumulated in the Eisenstein ring or counted by the residue of
-its trace, and only converted to an ordinary integer once its imaginary
-part is shown to vanish; realness is a theorem, and we treat any violation
-as a bug.
+is counted by the residue of its trace, term by term in
+eisenstein.char_sum or, for the K table, by convolution, and only
+converted to an ordinary integer once its imaginary part is shown to
+vanish; realness is a theorem, and we treat any violation as a bug.
 
 Moment families (h-th power moments of K over various index sets):
 
@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Mapping
 
-from .eisenstein import CycInt, additive_char
+from .eisenstein import CycInt, char_sum
 from .errors import UnsupportedScaleError, VerificationError
 from .field import Field
 
@@ -42,11 +42,6 @@ _DELTA_MAX_M = 4
 _DELTA_BLOCK = 128
 _SALIE_MAX_H = 4
 _PROP_E_MAX_M = 4
-
-
-@lru_cache(maxsize=None)
-def _char_table(field: Field) -> tuple[CycInt, ...]:
-    return tuple(additive_char(field, x) for x in field.elements())
 
 
 def _pack(bits, width: int) -> int:
@@ -106,19 +101,9 @@ def kloosterman_all(field: Field):
 
 
 def kloosterman_all_brute(field: Field):
-    """Oracle for kloosterman_all: each K(a) summed over the q - 1 units in Z[zeta].
-
-    Costs (q-1)^2 character evaluations; each sum is proved real by CycInt.to_int.
-    """
-    lam = _char_table(field)
-    add, mul, inv = field.add, field.mul, field.inv
-    vals: list = [None]
-    for a in field.units():
-        acc = CycInt(0, 0)
-        for alpha in field.units():
-            acc = acc + lam[add(alpha, mul(a, inv(alpha)))]
-        vals.append(acc.to_int())
-    return tuple(vals)
+    """Oracle for kloosterman_all: each K(a) summed over the q - 1 units
+    by kloosterman_gl_brute at t = 1, (q-1)^2 character evaluations in all."""
+    return (None, *(kloosterman_gl_brute(field, 1, a) for a in field.units()))
 
 
 def kloosterman(field: Field, a: int) -> int:
@@ -158,21 +143,20 @@ def kloosterman_gl_brute(field: Field, t: int, a: int) -> int:
         raise ValueError(f"a must be a unit of GF({field.q}), got {a}")
     if t == 0:
         return 1
-    lam = _char_table(field)
     add, mul, inv, sub = field.add, field.mul, field.inv, field.sub
-    acc = CycInt(0, 0)
     if t == 1:
-        for w in field.units():
-            acc = acc + lam[add(w, mul(a, inv(w)))]
-        return acc.to_int()
-    for a11, a12, a21, a22 in product(field.elements(), repeat=4):
-        det = sub(mul(a11, a22), mul(a12, a21))
-        if det == 0:
-            continue
-        tr = add(a11, a22)
-        tr_inv = mul(tr, inv(det))  # trace of the inverse of a 2x2 matrix
-        acc = acc + lam[add(tr, mul(a, tr_inv))]
-    return acc.to_int()
+        return char_sum(field, ((add(w, mul(a, inv(w))), 1) for w in field.units())).to_int()
+
+    def terms():
+        for a11, a12, a21, a22 in product(field.elements(), repeat=4):
+            det = sub(mul(a11, a22), mul(a12, a21))
+            if det == 0:
+                continue
+            tr = add(a11, a22)
+            tr_inv = mul(tr, inv(det))  # trace of the inverse of a 2x2 matrix
+            yield add(tr, mul(a, tr_inv)), 1
+
+    return char_sum(field, terms()).to_int()
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +307,14 @@ def a_r_sum(field: Field, rr: int) -> CycInt:
             f"brute force bounded at rr <= 2, got {rr}; "
             f"closed form gives {a_r_closed_form(field.q, rr)}"
         )
-    lam = _char_table(field)
     add, mul, sub = field.add, field.mul, field.sub
-    acc = CycInt(0, 0)
-    if rr == 1:
-        for b in field.units():
-            for h in field.elements():
-                acc = acc + lam[mul(b, mul(h, h))]
-    else:
+
+    def terms():
+        if rr == 1:
+            for b in field.units():
+                for h in field.elements():
+                    yield mul(b, mul(h, h)), 1
+            return
         two = 2  # the field constant 2 == -1
         for a in field.elements():
             for b in field.elements():
@@ -341,8 +325,9 @@ def a_r_sum(field: Field, rr: int) -> CycInt:
                         ah1 = mul(a, mul(h1, h1))
                         bh1 = mul(mul(two, b), h1)
                         for h2 in field.elements():
-                            form = add(ah1, add(mul(bh1, h2), mul(d, mul(h2, h2))))
-                            acc = acc + lam[form]
+                            yield add(ah1, add(mul(bh1, h2), mul(d, mul(h2, h2)))), 1
+
+    acc = char_sum(field, terms())
     expected = a_r_closed_form(field.q, rr)
     if acc != CycInt(expected, 0):
         raise VerificationError(
@@ -418,7 +403,6 @@ def prop_e_check(field: Field, mmax: int) -> list[PropEReport]:
     for every beta and m = 0..mmax.  Both sides are exact integers."""
     if not 0 <= mmax <= _PROP_E_MAX_M:
         raise UnsupportedScaleError(f"prop-e check bounded at mmax <= {_PROP_E_MAX_M}, got {mmax}")
-    lam = _char_table(field)
     kv = kloosterman_all(field)
     mul, neg = field.mul, field.neg
     q = field.q
@@ -427,10 +411,7 @@ def prop_e_check(field: Field, mmax: int) -> list[PropEReport]:
         dt = delta_table(field, m)
         kpow = [None] + [kv[mul(a, a)] ** m for a in field.units()]
         for beta in field.elements():
-            acc = CycInt(0, 0)
-            for a in field.units():
-                acc = acc + lam[neg(mul(a, beta))] * kpow[a]
-            lhs = acc.to_int()
+            lhs = char_sum(field, ((neg(mul(a, beta)), kpow[a]) for a in field.units())).to_int()
             rhs = q * dt[beta] - (q - 1) ** m
             out.append(PropEReport(q=q, m=m, beta=beta, lhs=lhs, rhs=rhs, equal=lhs == rhs))
     return out

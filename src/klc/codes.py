@@ -17,11 +17,11 @@ routes and must agree coefficient by coefficient:
     moves the sum, and the per-beta transition rows for the three residues
     have closed forms, the two nonzero residues sharing one row;
 
-  * the MacWilliams transform of the q-word dual spectrum.  The dual
-    weights w(a) = sum_beta n(beta) [tr(a beta) != 0] are read off the
-    trace histogram of the enumerated group, and the transform runs the
-    ternary Krawtchouk three-term recurrence once per distinct dual
-    weight; every division in it must be exact.
+  * the MacWilliams transform of the q-word dual spectrum.  If c_s entries
+    of c(a) equal s, the group's exponential sum is G(a) = c_0 + c_1 zeta +
+    c_2 zeta^2, so the dual weight is w(a) = c_1 + c_2 = (2N - 2Re G(a))/3;
+    the transform runs the ternary Krawtchouk three-term recurrence once
+    per distinct dual weight.  Every division must be exact.
 
 dual_codeword materializes the words c(a) themselves and is the oracle
 for the dual weights.
@@ -36,12 +36,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .charsums import kloosterman_all
-from .eisenstein import additive_char
+from .eisenstein import CycInt
 from .errors import UnsupportedScaleError, VerificationError
 from .field import Field
-from .groups import (GROUPS, enumerate_group, group_order, mat_trace, trace_spectrum,
-                     trace_spectrum_closed)
+from .groups import (GROUPS, enumerate_group, gauss_sum_closed, gauss_sum_enumerated,
+                     group_order, mat_trace, trace_spectrum_closed)
 
 _FULL_SPECTRUM_MAX_N = 2000
 
@@ -81,33 +80,34 @@ def dual_codeword(field: Field, tag: str, a: int) -> tuple[int, ...]:
     return tuple(tr(mul(a, mat_trace(field, g))) for g in enumerate_group(field, tag))
 
 
+def _weight(field: Field, tag: str, a: int, g: CycInt) -> int:
+    """w(a) = (2N - 2Re G(a))/3 from the group's exponential sum G(a)."""
+    w, rem = divmod(2 * code_length(field.q, tag) - g.two_re(), 3)
+    if rem:
+        raise VerificationError(
+            f"dual weight of {tag} at q={field.q}, a={a} is not an integer: G(a) = {g!r}")
+    return w
+
+
 @lru_cache(maxsize=None)
 def dual_weights(field: Field, tag: str) -> tuple[int, ...]:
-    """Hamming weight of c(a) for every a from the enumerated trace histogram:
-    w(a) = sum_beta N(beta) [tr(a beta) != 0]."""
-    spectrum = trace_spectrum(field, _check_tag(tag))
-    mul, tr = field.mul, field.trace
-    return tuple(sum(n for beta, n in enumerate(spectrum) if tr(mul(a, beta)))
+    """Hamming weight of c(a) for every a, from G(a) over the enumerated trace
+    spectrum (groups.gauss_sum_enumerated); G(0) = N gives w(0) = 0."""
+    tag = _check_tag(tag)
+    return tuple(_weight(field, tag, a, gauss_sum_enumerated(field, tag, a))
                  for a in field.elements())
 
 
 def dual_weight_formula(field: Field, tag: str, a: int) -> int:
-    """Closed form for the weight of c(a), a != 0, for the orthogonal codes:
+    """Closed form for the weight of c(a), a != 0, for the orthogonal codes,
+    from G(a) = groups.gauss_sum_closed: with i = 1 for SO(3,q), 2 for O(3,q),
 
         w(c(a)) = (q i / 3) * (2 (q^2 - 1) - 2Re(lambda(a)) K(a^2))
-
-    with i = 1 for the SO(3,q) code and i = 2 for the O(3,q) code, kept
-    fraction-free via the integer 2Re(lambda(a)).
     """
     tag = _check_tag(tag)
     if tag == "sp2":
         raise ValueError("closed-form dual weight is defined for the so3 and o3 codes")
-    if not 1 <= a < field.q:
-        raise ValueError(f"a must be a unit of GF({field.q}), got {a}")
-    i = 1 if tag == "so3" else 2
-    q = field.q
-    k = kloosterman_all(field)[field.mul(a, a)]
-    return (q * i // 3) * (2 * (q * q - 1) - additive_char(field, a).two_re() * k)
+    return _weight(field, tag, a, gauss_sum_closed(field, tag, a))
 
 
 def dual_spectrum(field: Field, tag: str) -> dict[int, int]:

@@ -1,7 +1,8 @@
 """Exact arithmetic in Z[zeta], zeta = exp(2*pi*i/3).
 
-Every character sum in this package accumulates in this ring so that
-identities can be checked with exact equality; no float is ever formed.
+Every character sum in this package counts its terms by the residue of
+their trace (char_sum, or a convolution for the K table) into one value of
+this ring, so identities are checked with exact equality; no float is formed.
 A value a + b*zeta is stored as the integer pair (a, b) and reduced with
 zeta^2 = -1 - zeta.  Real values are the ones with b == 0; extracting an
 integer from a value with b != 0 raises rather than rounding.
@@ -20,10 +21,6 @@ class CycInt:
     def __init__(self, a: int = 0, b: int = 0):
         self.a = a
         self.b = b
-
-    @classmethod
-    def from_int(cls, n: int) -> "CycInt":
-        return cls(n, 0)
 
     def __add__(self, other):
         if isinstance(other, CycInt):
@@ -120,3 +117,14 @@ def zeta_pow(t: int) -> CycInt:
 def additive_char(field, x: int) -> CycInt:
     """The canonical additive character lambda(x) = zeta^trace(x)."""
     return _ZETA_POWERS[field.trace(x)]
+
+
+def char_sum(field, terms) -> CycInt:
+    """sum of w * lambda(x) over the (x, w) pairs of terms, w an integer: w goes
+    into the bucket c_t of t = trace(x), and c_0 + c_1 zeta + c_2 zeta^2 is
+    (c_0 - c_2) + (c_1 - c_2) zeta since zeta^2 = -1 - zeta."""
+    c = [0, 0, 0]
+    trace = field.trace
+    for x, w in terms:
+        c[trace(x)] += w
+    return CycInt(c[0] - c[2], c[1] - c[2])

@@ -114,8 +114,6 @@ class Field:
             if not is_irreducible(mod):
                 raise FieldConfigError(f"modulus {list(mod)} is reducible over GF(3)")
         self.modulus = mod
-        self.zero = 0
-        self.one = 1
         self._build_tables()
 
     # -- construction ------------------------------------------------

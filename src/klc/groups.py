@@ -38,14 +38,13 @@ from random import Random
 from typing import Iterator
 
 from .charsums import delta_table, kloosterman_all
-from .eisenstein import CycInt, additive_char
+from .eisenstein import CycInt, additive_char, char_sum
 from .errors import UnsupportedScaleError, VerificationError
 from .field import Field
 
 GROUPS = ("so3", "o3", "sp2")
 
 _J3 = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
-_SIGMA1 = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
 _ID3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 _ID2 = ((1, 0), (0, 1))
 
@@ -155,9 +154,7 @@ def is_symplectic(field: Field, w: Mat) -> bool:
     For 2x2 matrices the single nontrivial entry of w^T Jhat w is det(w),
     so this is det == 1.
     """
-    sub, mul = field.sub, field.mul
-    (a, b), (c, d) = w
-    return sub(mul(a, d), mul(b, c)) == 1
+    return mat_det(field, w) == 1
 
 
 _PREDICATES = {"so3": is_special_orthogonal, "o3": is_orthogonal, "sp2": is_symplectic}
@@ -335,6 +332,15 @@ def check_trace_spectrum(field: Field, gid: str) -> SpectrumReport:
 # exponential sums over the groups
 
 
+def gauss_sum_enumerated(field: Field, gid: str, a: int) -> CycInt:
+    """G(a) = sum_w lambda(a Tr w) = sum_beta N(beta) lambda(a beta) over the
+    enumerated trace spectrum, for any a in GF(q); G(0) is the group order."""
+    if not 0 <= a < field.q:
+        raise ValueError(f"a must be an element of GF({field.q}), got {a}")
+    return char_sum(field, ((field.mul(a, beta), n)
+                            for beta, n in enumerate(trace_spectrum(field, gid))))
+
+
 def gauss_sum_closed(field: Field, gid: str, a: int) -> CycInt:
     """Closed form for sum_w lambda(a Tr w):
 
@@ -373,9 +379,7 @@ def check_gauss_sum(field: Field, gid: str, a: int) -> GaussReport:
     gid = _check_gid(gid)
     if not 1 <= a < field.q:
         raise ValueError(f"a must be a unit of GF({field.q}), got {a}")
-    spec_val = CycInt(0, 0)
-    for beta, n in enumerate(trace_spectrum(field, gid)):
-        spec_val = spec_val + additive_char(field, field.mul(a, beta)) * n
+    spec_val = gauss_sum_enumerated(field, gid, a)
     closed = gauss_sum_closed(field, gid, a)
     return GaussReport(gid=gid, q=field.q, a=a,
                        from_spectrum=spec_val, closed=closed, equal=spec_val == closed)

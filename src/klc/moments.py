@@ -2,9 +2,10 @@
 
 Each checker evaluates both sides of one identity in exact rational
 arithmetic (fractions.Fraction over Python ints) and reports them side by
-side.  The moment values on the left come from the brute-force tables in
-charsums; the weight counts on the right come from the combinatorial
-dynamic program in codes.  Neither side knows about the other, so an equal
+side.  The moment values on the left come from charsums.moment_table over
+the K table, which is one cyclic convolution of the trace sequence; the
+weight counts on the right come from the combinatorial dynamic program in
+codes.  Neither side knows about the other, so an equal
 report is a real confirmation, not a tautology.
 
 Identity catalogue (T = T12SK, the moments of K(a^2) over trace-nonzero a;

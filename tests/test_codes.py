@@ -1,4 +1,6 @@
+import ast
 from math import comb
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -318,3 +320,31 @@ def test_pless_default_counts_and_guard():
     assert pless_check(f, "so3", 2).equal
     with pytest.raises(ValueError):
         pless_check(f, "so3", -1)
+
+
+# ---------------------------------------------------------------------------
+# dual weights from the groups' exponential sums
+
+
+def test_inexact_dual_weight_is_a_verification_error(monkeypatch):
+    """2N - 2Re G(a) must be divisible by 3; a G(a) off by one leaves a remainder."""
+    f = Field(1)
+    enumerated = codes.gauss_sum_enumerated
+    monkeypatch.setattr(codes, "gauss_sum_enumerated",
+                        lambda field, gid, a: enumerated(field, gid, a) + 1)
+    with pytest.raises(VerificationError, match="not an integer"):
+        codes.dual_weights.__wrapped__(f, "so3")  # past any cached table
+
+
+def test_codes_imports_nothing_from_charsums():
+    """The dual weights come from the Gauss sums in groups, not from K(a) or lambda."""
+    tree = ast.parse(Path(codes.__file__).read_text())
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    assert not modules & {"charsums", "klc.charsums"}
+    assert not names & {"charsums", "kloosterman_all", "additive_char"}

@@ -1,9 +1,10 @@
 import json
+from random import Random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from klc.eisenstein import ONE, ZERO, ZETA, CycInt, additive_char, zeta_pow
+from klc.eisenstein import ONE, ZERO, ZETA, CycInt, additive_char, char_sum, zeta_pow
 from klc.errors import VerificationError
 from klc.field import Field
 
@@ -115,3 +116,24 @@ def test_character_conjugate_is_negation():
     for x in f.elements():
         assert additive_char(f, f.neg(x)) == additive_char(f, x).conj()
         assert additive_char(f, 0) == ONE
+
+
+# ---------------------------------------------------------------------------
+# the character-sum kernel
+
+
+@pytest.mark.parametrize("r,modulus", [(1, None), (1, (1, 1)), (2, None), (2, (2, 1, 1)),
+                                       (3, None), (3, (1, 0, 2, 1)),
+                                       (4, None), (4, (1, 0, 1, 1, 1))])
+def test_char_sum_matches_the_ring_sum(r, modulus):
+    """Counting by trace residue gives sum w * lambda(x) as summed term by term
+    in Z[zeta], for multisets with repeats, zero and negative weights."""
+    f = Field(r, modulus)
+    rng = Random(r)
+    for size in (0, 1, 2, f.q, 3 * f.q):
+        terms = [(rng.randrange(f.q), rng.randint(-7, 7)) for _ in range(size)]
+        oracle = CycInt(0, 0)
+        for x, w in terms:
+            oracle = oracle + additive_char(f, x) * w
+        assert char_sum(f, terms) == oracle, terms
+        assert char_sum(f, iter(terms)) == oracle

@@ -16,6 +16,7 @@ from klc.groups import (
     coset_count,
     enumerate_group,
     gauss_sum_closed,
+    gauss_sum_enumerated,
     group_order,
     is_orthogonal,
     is_special_orthogonal,
@@ -250,3 +251,13 @@ def test_spectrum_gauss_duality(r, gid):
         for a in f.units():
             acc = acc + additive_char(f, f.neg(f.mul(a, beta))) * gauss_sum_closed(f, gid, a)
         assert acc == CycInt(f.q * spec[beta], 0)
+
+
+def test_gauss_sum_enumerated_at_zero_and_outside_the_field():
+    """G(0) is the group order; a outside GF(q) is refused."""
+    f = Field(1)
+    for gid in GROUPS:
+        assert gauss_sum_enumerated(f, gid, 0) == CycInt(group_order(f.q, gid), 0)
+    for a in (-1, 3):
+        with pytest.raises(ValueError):
+            gauss_sum_enumerated(f, "so3", a)
