@@ -15,7 +15,10 @@ routes and must agree coefficient by coefficient:
     sum (nu_beta - mu_beta) beta == 0; the DP tracks (weight, that partial
     sum).  Since the additive group has exponent 3, only (nu - mu) mod 3
     moves the sum, and the per-beta transition rows for the three residues
-    have closed forms, the two nonzero residues sharing one row;
+    have closed forms, the two nonzero residues sharing one row.  The DP
+    is folded by +-: flipping 1 <-> 2 merges the classes beta and -beta,
+    the state keeps one column per pair {s, -s} since it stays symmetric,
+    and the last class computes only column 0, the one read;
 
   * the MacWilliams transform of the q-word dual spectrum.  If c_s entries
     of c(a) equal s, the group's exponential sum is G(a) = c_0 + c_1 zeta +
@@ -207,6 +210,15 @@ def weight_distribution_dp(field: Field, tag: str,
     so far is s; class beta pulls each column as
     new[s] = state[s] R_0 + (state[s - beta] + state[s + beta]) R_1.
 
+    Two exact symmetries cut the work about fourfold.  Flipping 1 <-> 2 at a
+    position keeps its weight and negates its term, so the positions of
+    class -beta count as more positions of class beta: beta = 0 stays alone
+    and each pair {beta, -beta} is one class of n(beta) + n(-beta)
+    positions.  The pull maps a state with state[s] == state[-s] to another
+    one, and the start state[0] = 1 is such a state, so one column is kept
+    per pair {s, -s}.  Only state[0] is read at the end, so the last class
+    computes column 0 alone.
+
     Untruncated runs are bounded to N <= 2000; pass truncate_at=J for the
     exact counts C_0..C_J at any supported q.
     """
@@ -218,21 +230,27 @@ def weight_distribution_dp(field: Field, tag: str,
             raise ValueError(f"truncate_at must be nonnegative, got {truncate_at}")
         cap = min(truncate_at, code_length(field.q, tag))
 
-    q = field.q
-    add = field.add
+    add, neg = field.add, field.neg
     counts_beta = code_trace_counts(field, tag)
-    state = [[0] for _ in range(q)]
+    # reps[i] is the smaller of a pair {s, -s}; column i of the state holds both
+    reps = [s for s in field.elements() if s <= neg(s)]
+    col_of = [0] * field.q
+    for i, s in enumerate(reps):
+        col_of[s] = col_of[neg(s)] = i
+    state = [[0] for _ in reps]
     state[0][0] = 1
     width = 0
-    for beta in field.elements():
-        stay, move = _site_rows(counts_beta[beta], cap)
+    for beta in reps:
+        minus = neg(beta)
+        n = counts_beta[beta] + counts_beta[minus] if beta else counts_beta[0]
+        stay, move = _site_rows(n, cap)
         width = min(cap, width + len(stay) - 1)
-        minus = field.neg(beta)
         new = []
-        for s in range(q):
+        for i, s in enumerate(reps[:1] if beta == reps[-1] else reps):
             col = [0] * (width + 1)
-            _conv_acc(col, state[s], stay, width)
-            _conv_acc(col, [x + y for x, y in zip(state[add(s, minus)], state[add(s, beta)])],
+            _conv_acc(col, state[i], stay, width)
+            _conv_acc(col, [x + y for x, y in zip(state[col_of[add(s, minus)]],
+                                                  state[col_of[add(s, beta)]])],
                       move, width)
             new.append(col)
         state = new

@@ -12,12 +12,14 @@ t for r = 1, t^2 + 1 for r = 2, and so on.  Any other monic irreducible
 of the right degree can be passed explicitly to work in a different
 polynomial basis.
 
-Multiplicative structure goes through discrete-log tables: the exp table
-is the walk of the first primitive element found, so mul/inv/pow are O(1)
-lookups.  Negation, the trace (F_3-linear, so fixed by the traces of the
-basis monomials t^k) and, for q <= 729, the addition table are built digit
-by digit at construction and read by lookup; above q = 729 add is digit
-arithmetic mod 3.
+Multiplicative structure goes through discrete-log tables, so mul/inv/pow
+are O(1) lookups.  The generator is the smallest element g of order q - 1:
+each candidate gets the order test g^((q-1)/p) != 1 for every prime
+p | q - 1, by square-and-multiply, and only the generator is walked; its
+walk is the exp table.  Negation, the trace (F_3-linear, so fixed by the
+traces of the basis monomials t^k) and, for q <= 729, the addition table
+are built digit by digit at construction and read by lookup; above
+q = 729 add is digit arithmetic mod 3.
 """
 
 from __future__ import annotations
@@ -37,6 +39,20 @@ def _digits(x: int, n: int) -> list[int]:
     for _ in range(n):
         x, d = divmod(x, 3)
         out.append(d)
+    return out
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
     return out
 
 
@@ -138,22 +154,33 @@ class Field:
             enc = enc * 3 + prod[i] % 3
         return enc
 
+    def _pow_raw(self, x: int, e: int) -> int:
+        """x^e, e >= 1, by square-and-multiply over _mul_raw; used only to bootstrap."""
+        out = None
+        while e:
+            if e & 1:
+                out = x if out is None else self._mul_raw(out, x)
+            e >>= 1
+            if e:
+                x = self._mul_raw(x, x)
+        return out
+
     def _build_tables(self) -> None:
         q = self.q
-        # The first candidate whose walk reaches all q - 1 units is primitive; the walk is exp.
+        # The first candidate of order q - 1 is the generator: g^((q-1)/p) != 1 for
+        # every prime p | q - 1.  Its walk is exp.
+        cofactors = [(q - 1) // p for p in _prime_factors(q - 1)]
         for gen in range(2, q):
-            exp, x = [1], gen
-            while x != 1:
-                if len(exp) == q:
-                    raise FieldConfigError(
-                        f"modulus {list(self.modulus)} does not define a field"
-                    )
-                exp.append(x)
-                x = self._mul_raw(x, gen)
-            if len(exp) == q - 1:
+            if all(self._pow_raw(gen, e) != 1 for e in cofactors):
                 break
-        else:  # pragma: no cover - unreachable for a true field
+        else:
             raise FieldConfigError(f"no primitive element found for modulus {list(self.modulus)}")
+        exp, x = [1], gen
+        while x != 1 and len(exp) < q:
+            exp.append(x)
+            x = self._mul_raw(x, gen)
+        if len(exp) != q - 1:
+            raise FieldConfigError(f"modulus {list(self.modulus)} does not define a field")
         self.generator = gen
         self._exp = exp
         self._log = [0] * q

@@ -226,6 +226,39 @@ def test_site_rows_match_the_multinomial_sum():
             assert codes._site_rows(n, cap) == (r0, r1)
 
 
+def _dp_unfolded(field, tag, cap):
+    """The DP over all q classes and all q columns, with no symmetry used."""
+    q, add = field.q, field.add
+    counts_beta = code_trace_counts(field, tag)
+    state = [[0] for _ in range(q)]
+    state[0][0] = 1
+    width = 0
+    for beta in field.elements():
+        stay, move = codes._site_rows(counts_beta[beta], cap)
+        width = min(cap, width + len(stay) - 1)
+        minus = field.neg(beta)
+        new = []
+        for s in range(q):
+            col = [0] * (width + 1)
+            codes._conv_acc(col, state[s], stay, width)
+            codes._conv_acc(col, [x + y for x, y in zip(state[add(s, minus)],
+                                                        state[add(s, beta)])], move, width)
+            new.append(col)
+        state = new
+    return tuple(state[0])
+
+
+@pytest.mark.parametrize("tag", GROUPS)
+@pytest.mark.parametrize("r, modulus, cap", [
+    (1, None, None), (1, (1, 1), None), (1, (2, 1), None),
+    (3, None, 8), (3, (1, 0, 2, 1), 8), (4, None, 6), (4, (1, 0, 1, 1, 1), 6),
+])
+def test_dp_matches_the_unfolded_dp(r, modulus, cap, tag):
+    f = Field(r, modulus)
+    counts = weight_distribution_dp(f, tag, truncate_at=cap).counts
+    assert counts == _dp_unfolded(f, tag, code_length(f.q, tag) if cap is None else cap)
+
+
 @pytest.mark.parametrize("tag", GROUPS)
 def test_truncation_is_a_prefix(tag):
     f = Field(1)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import klc.field as field_module
 from klc.errors import FieldConfigError, VerificationError
 from klc.field import Field, default_modulus, is_irreducible
 
@@ -105,6 +106,34 @@ def test_tables_match_their_definitions(r, second):
 def test_trace_outside_the_prime_field_is_a_verification_error(monkeypatch):
     monkeypatch.setattr(Field, "_add_slow", lambda self, x, y: x + y + 3)
     with pytest.raises(VerificationError, match="outside the prime field"):
+        Field(2)
+
+
+def test_generator_search_walks_only_the_generator(monkeypatch):
+    """Rejected candidates cost an order test each, not a walk to their order."""
+    calls = 0
+    mul_raw = Field._mul_raw
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += 1
+        return mul_raw(self, x, y)
+
+    monkeypatch.setattr(Field, "_mul_raw", counted)
+    f = Field(8)
+    assert f.generator == 38
+    assert calls <= f.q - 1 + 800
+
+
+def test_generator_guards_are_config_errors(monkeypatch):
+    # with no prime to test, 2 is taken as the generator and its walk stops at order 2
+    with monkeypatch.context() as m:
+        m.setattr(field_module, "_prime_factors", lambda n: [])
+        with pytest.raises(FieldConfigError, match="does not define a field"):
+            Field(2)
+    # every candidate failing its order test
+    monkeypatch.setattr(Field, "_pow_raw", lambda self, x, e: 1)
+    with pytest.raises(FieldConfigError, match="no primitive element"):
         Field(2)
 
 
