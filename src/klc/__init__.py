@@ -16,10 +16,10 @@ from .codes import (WeightDistribution, code_dimension, code_length, dual_codewo
 from .eisenstein import CycInt, additive_char, char_sum, zeta_pow
 from .errors import FieldConfigError, UnsupportedScaleError, VerificationError
 from .field import Field, default_modulus, is_irreducible
-from .groups import (brute_force_group, brute_force_orthogonal, check_gauss_sum,
-                     check_trace_spectrum, closure_spot_check, coset_count, enumerate_group,
-                     gauss_sum_closed, gauss_sum_enumerated, group_order, iter_group,
-                     mat_mul, mat_trace, q_binomial, trace_spectrum, trace_spectrum_closed)
+from .groups import (brute_force_group, check_gauss_sum, check_trace_spectrum,
+                     closure_spot_check, coset_count, enumerate_group, gauss_sum_closed,
+                     gauss_sum_enumerated, group_order, iter_group, mat_mul, mat_trace,
+                     q_binomial, trace_spectrum, trace_spectrum_closed)
 from .moments import (RecursionReport, corollary_n, predict_t12sk, solve_sk,
                       theorem_a1, theorem_a2, theorem_l)
 
@@ -29,8 +29,7 @@ __all__ = [
     "CycInt", "Field", "MomentTable", "RecursionReport", "WeightDistribution",
     "FieldConfigError", "UnsupportedScaleError", "VerificationError",
     "a_r_closed_form", "a_r_sum", "additive_char", "brute_force_group",
-    "brute_force_orthogonal", "char_sum", "check_gauss_sum", "check_trace_spectrum",
-    "closure_spot_check",
+    "char_sum", "check_gauss_sum", "check_trace_spectrum", "closure_spot_check",
     "code_dimension", "code_length", "corollary_n", "coset_count",
     "default_modulus", "delta", "delta_table", "delta_table_brute", "dual_codeword",
     "dual_spectrum", "dual_weight_formula", "dual_weights", "enumerate_group",

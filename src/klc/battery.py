@@ -17,9 +17,8 @@ from .codes import (code_length, dual_weight_formula, dual_weights, pless_check,
                     weight_distribution_dp, weight_distribution_macwilliams)
 from .errors import UnsupportedScaleError, VerificationError
 from .field import Field
-from .groups import (GROUPS, brute_force_orthogonal, check_gauss_sum,
-                     check_trace_spectrum, closure_spot_check, enumerate_group,
-                     group_order)
+from .groups import (GROUPS, brute_force_group, check_gauss_sum, check_trace_spectrum,
+                     closure_spot_check, enumerate_group, group_order)
 from .moments import corollary_n, theorem_a1, theorem_a2, theorem_l
 
 
@@ -61,9 +60,9 @@ def _enumeration(field: Field, seed: int):
         ok = ok and len(elems) == group_order(field.q, gid)
         ok = ok and closure_spot_check(field, gid, pairs=100, seed=seed)
     if field.q == 3:
-        for gid in ("o3", "so3"):
+        for gid in GROUPS:
             ok = ok and sorted(enumerate_group(field, gid)) == sorted(
-                brute_force_orthogonal(field, special=gid == "so3"))
+                brute_force_group(field, gid))
         details.append("3^9-filter:match")
     return [(ok, ", ".join(details))]
 

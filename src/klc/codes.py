@@ -177,11 +177,6 @@ class WeightDistribution:
                 for j, c in enumerate(self.counts)]
 
 
-def code_trace_counts(field: Field, tag: str) -> tuple[int, ...]:
-    """n(beta) per beta for the code's group, from the closed forms."""
-    return trace_spectrum_closed(field, _check_tag(tag))
-
-
 def _site_rows(n: int, cap: int) -> tuple[list[int], list[int]]:
     """Rows R_0 and R_1 = R_2 of a class of n positions: R_k[d] sums the
     multinomials C(n; nu, mu) over nu + mu = d <= cap with nu - mu == k mod 3.
@@ -231,7 +226,7 @@ def weight_distribution_dp(field: Field, tag: str,
         cap = min(truncate_at, code_length(field.q, tag))
 
     add, neg = field.add, field.neg
-    counts_beta = code_trace_counts(field, tag)
+    counts_beta = trace_spectrum_closed(field, tag)
     # reps[i] is the smaller of a pair {s, -s}; column i of the state holds both
     reps = [s for s in field.elements() if s <= neg(s)]
     col_of = [0] * field.q

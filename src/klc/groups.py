@@ -19,13 +19,28 @@ coset representatives: just the identity for rr = 0, and {q(1, h')} for
 rr = 1.  Elements with determinant 1 form SO(3, q): the rr = 0 cells of Q
 and the rr = 1 cells of rho Q.
 
-Sp(2, q) is SL(2, q): the 2x2 matrices preserving the alternating form
-[[0, 1], [-1, 0]], which for 2x2 matrices is exactly det == 1.  It is
-enumerated by scanning (a, b, c) and solving for d.
+No product is formed: each element is written out from its cell
+parameters.  An rr = 0 cell is q(A, h) itself, and with t = h h' an
+rr = 1 cell is
 
-Element order is canonical and deterministic: cells in the order
-(rr=0, Q), (rr=1, Q), (rr=0, rho Q), (rr=1, rho Q), and inside a cell
-lexicographic by (enc(A), enc(h), coset index).
+    q(A, h) sigma_1 q(1, h') = [[A h^2, A (t^2 + 1 - t), -A h (t + 1)],
+                                [1/A,   h'^2 / A,        -h' / A],
+                                [h,     h h'^2 + h',     1 - t]],
+
+of trace A h^2 + h'^2/A + (1 - t).  A rho cell is the same matrix with its
+last row negated.
+
+Sp(2, q) is SL(2, q): the 2x2 matrices preserving the alternating form
+[[0, 1], [-1, 0]], which for 2x2 matrices is exactly det == 1.  Its a = 0
+cell is [[0, b], [-1/b, d]] for b a unit and any d; for a unit a it is
+[[a, b], [c, (1 + b c)/a]] for any b and c.
+
+Element order is canonical and deterministic: for O(3, q) the cells in the
+order (rr=0, Q), (rr=1, Q), (rr=0, rho Q), (rr=1, rho Q), and inside a
+cell lexicographic by (enc(A), enc(h), enc(h')); for Sp(2, q)
+lexicographic by (enc(a), enc(b), enc(c) or enc(d)).  iter_group checks
+every element against the group's defining relation, and it is the only
+place that does.
 """
 
 from __future__ import annotations
@@ -45,8 +60,6 @@ from .field import Field
 GROUPS = ("so3", "o3", "sp2")
 
 _J3 = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
-_ID3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-_ID2 = ((1, 0), (0, 1))
 
 # Materializing a full group only makes sense at desk scale; streaming via
 # iter_group stays available for larger q.
@@ -160,85 +173,65 @@ def is_symplectic(field: Field, w: Mat) -> bool:
 _PREDICATES = {"so3": is_special_orthogonal, "o3": is_orthogonal, "sp2": is_symplectic}
 
 
-def _q_elem(field: Field, a_unit: int, h: int) -> Mat:
-    mul, neg, inv = field.mul, field.neg, field.inv
-    h2 = mul(h, h)
-    return (
-        (a_unit, mul(a_unit, h2), neg(mul(a_unit, h))),
-        (0, inv(a_unit), 0),
-        (0, h, 1),
-    )
-
-
-def _swap_cols01(w: Mat) -> Mat:
-    # right-multiplication by sigma_1
-    return tuple((row[1], row[0], row[2]) for row in w)
-
-
-def _neg_last_row(field: Field, w: Mat) -> Mat:
-    # left-multiplication by rho = diag(1, 1, -1)
-    return (w[0], w[1], tuple(field.neg(v) for v in w[2]))
-
-
-def _iter_orthogonal(field: Field, special: bool) -> Iterator[Mat]:
-    cells = [(0, False), (1, True)] if special else [(0, False), (1, False), (0, True), (1, True)]
-    check = _PREDICATES["so3" if special else "o3"]
-    for rr, rho in cells:
-        reps = (None,) if rr == 0 else tuple(_q_elem(field, 1, hp) for hp in field.elements())
-        for a_unit in field.units():
-            for h in field.elements():
-                base = _q_elem(field, a_unit, h)
-                if rr == 1:
-                    base = _swap_cols01(base)
-                for rep in reps:
-                    w = base if rep is None else mat_mul(field, base, rep)
-                    if rho:
-                        w = _neg_last_row(field, w)
-                    if not check(field, w):
-                        raise VerificationError(
-                            f"construction bug: emitted matrix fails the defining "
-                            f"relation in cell (rr={rr}, rho={rho}) at q={field.q}"
-                        )
-                    yield w
-
-
-def _iter_symplectic(field: Field) -> Iterator[Mat]:
-    add, mul, inv, neg = field.add, field.mul, field.inv, field.neg
-    for a in field.elements():
-        if a == 0:
-            # det = -bc = 1 forces c = -1/b; d is free
-            for b in field.units():
-                c = neg(inv(b))
-                for d in field.elements():
-                    yield ((0, b), (c, d))
-        else:
+def _iter_cells(field: Field, gid: str) -> Iterator[Mat]:
+    """Every element of the group in canonical order, written out from its
+    cell parameters as in the module docstring.  Nothing is checked here."""
+    add, sub, mul, inv, neg = field.add, field.sub, field.mul, field.inv, field.neg
+    elems = field.elements()
+    if gid == "sp2":
+        # a = 0: det = -bc = 1 forces c = -1/b, and d is free
+        for b in field.units():
+            c = neg(inv(b))
+            for d in elems:
+                yield ((0, b), (c, d))
+        for a in field.units():
             ia = inv(a)
-            for b in field.elements():
-                for c in field.elements():
-                    d = mul(ia, add(1, mul(b, c)))
-                    yield ((a, b), (c, d))
+            for b in elems:
+                for c in elems:
+                    yield ((a, b), (c, mul(ia, add(1, mul(b, c)))))
+        return
+    cells = ((0, False), (1, True)) if gid == "so3" else (
+        (0, False), (1, False), (0, True), (1, True))
+    sq = [mul(h, h) for h in elems]
+    for rr, rho in cells:
+        for a in field.units():
+            ia = inv(a)
+            for h in elems:
+                ah = mul(a, h)
+                ah2 = mul(ah, h)
+                if rr == 0:
+                    cell = [((a, ah2, neg(ah)), (0, ia, 0), (0, h, 1))]
+                else:
+                    cell = []
+                    for hp in elems:
+                        t = mul(h, hp)
+                        cell.append(((ah2, mul(a, add(mul(t, t), sub(1, t))),
+                                      neg(mul(ah, add(t, 1)))),
+                                     (ia, mul(ia, sq[hp]), neg(mul(ia, hp))),
+                                     (h, add(mul(h, sq[hp]), hp), sub(1, t))))
+                for top, mid, low in cell:
+                    yield (top, mid, tuple(map(neg, low)) if rho else low)
 
 
 def iter_group(field: Field, gid: str) -> Iterator[Mat]:
     """Stream the group in canonical order, validating each element."""
     gid = _check_gid(gid)
-    if gid == "sp2":
-        check = is_symplectic
-        for w in _iter_symplectic(field):
-            if not check(field, w):
-                raise VerificationError(f"construction bug: bad Sp(2,{field.q}) element {w}")
-            yield w
-    else:
-        yield from _iter_orthogonal(field, special=gid == "so3")
+    check = _PREDICATES[gid]
+    for w in _iter_cells(field, gid):
+        if not check(field, w):
+            raise VerificationError(
+                f"construction bug: {gid} element {w} fails the defining relation at q={field.q}")
+        yield w
 
 
 @lru_cache(maxsize=None)
 def enumerate_group(field: Field, gid: str) -> tuple[Mat, ...]:
     """The whole group as a tuple in canonical order, with global checks.
 
-    Checks that the element count matches the closed-form order and that
-    no element was emitted twice.  Guarded to q <= 27; use iter_group to
-    stream larger fields.
+    Each element comes from iter_group, which writes it out from its cell
+    and checks it.  On top of that, checks that the element count matches
+    the closed-form order and that no element was emitted twice.  Guarded
+    to q <= 27; use iter_group to stream larger fields.
     """
     gid = _check_gid(gid)
     if field.q > _ENUMERATE_MAX_Q:
@@ -268,11 +261,6 @@ def brute_force_group(field: Field, gid: str) -> list[Mat]:
     n = 2 if gid == "sp2" else 3
     rows = list(product(range(3), repeat=n))
     return [w for w in product(rows, repeat=n) if _PREDICATES[gid](field, w)]
-
-
-def brute_force_orthogonal(field: Field, special: bool = False) -> list[Mat]:
-    """SO(3, 3) (special) or O(3, 3) by the 3^9 filter of brute_force_group."""
-    return brute_force_group(field, "so3" if special else "o3")
 
 
 # ---------------------------------------------------------------------------

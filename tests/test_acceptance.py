@@ -35,7 +35,7 @@ from klc.codes import (
 from klc.eisenstein import CycInt
 from klc.groups import (
     GROUPS,
-    brute_force_orthogonal,
+    brute_force_group,
     check_gauss_sum,
     check_trace_spectrum,
     enumerate_group,
@@ -122,8 +122,8 @@ def test_criterion_06_trace_spectra(f3, f9, f27):
 
 def test_criterion_07_enumeration_oracle(f3):
     t0 = time.perf_counter()
-    ok = sorted(enumerate_group(f3, "o3")) == sorted(brute_force_orthogonal(f3, False))
-    ok = ok and sorted(enumerate_group(f3, "so3")) == sorted(brute_force_orthogonal(f3, True))
+    ok = sorted(enumerate_group(f3, "o3")) == sorted(brute_force_group(f3, "o3"))
+    ok = ok and sorted(enumerate_group(f3, "so3")) == sorted(brute_force_group(f3, "so3"))
     ok = ok and len(enumerate_group(f3, "o3")) == 48
     ok = ok and len(enumerate_group(f3, "so3")) == 24
     ok = ok and len(enumerate_group(f3, "sp2")) == 24

@@ -9,7 +9,6 @@ import klc.codes as codes
 from klc.codes import (
     code_dimension,
     code_length,
-    code_trace_counts,
     dual_codeword,
     dual_spectrum,
     dual_weight_formula,
@@ -22,7 +21,7 @@ from klc.codes import (
 )
 from klc.errors import UnsupportedScaleError, VerificationError
 from klc.field import Field
-from klc.groups import GROUPS, trace_spectrum
+from klc.groups import GROUPS, trace_spectrum, trace_spectrum_closed
 
 # ---------------------------------------------------------------------------
 # shape
@@ -43,7 +42,7 @@ def test_lengths_and_dimensions():
 @pytest.mark.parametrize("r", [1, 2])
 def test_trace_counts_partition_positions(r, tag):
     f = Field(r)
-    counts = code_trace_counts(f, tag)
+    counts = trace_spectrum_closed(f, tag)
     assert sum(counts) == code_length(f.q, tag)
     assert counts == trace_spectrum(f, tag)
 
@@ -229,7 +228,7 @@ def test_site_rows_match_the_multinomial_sum():
 def _dp_unfolded(field, tag, cap):
     """The DP over all q classes and all q columns, with no symmetry used."""
     q, add = field.q, field.add
-    counts_beta = code_trace_counts(field, tag)
+    counts_beta = trace_spectrum_closed(field, tag)
     state = [[0] for _ in range(q)]
     state[0][0] = 1
     width = 0

@@ -1,15 +1,17 @@
 from itertools import islice
 
 import pytest
+from click.testing import CliRunner
 
+import klc.cli as cli
+from klc import groups
 from klc.charsums import kloosterman
 from klc.eisenstein import CycInt, additive_char
-from klc.errors import UnsupportedScaleError
+from klc.errors import UnsupportedScaleError, VerificationError
 from klc.field import Field
 from klc.groups import (
     GROUPS,
     brute_force_group,
-    brute_force_orthogonal,
     check_gauss_sum,
     check_trace_spectrum,
     closure_spot_check,
@@ -112,12 +114,12 @@ def test_orthogonal_matches_brute_force(special):
     """The cell-by-cell enumeration hits exactly the 3^9-filter answer."""
     f = Field(1)
     gid = "so3" if special else "o3"
-    assert set(enumerate_group(f, gid)) == set(brute_force_orthogonal(f, special))
+    assert set(enumerate_group(f, gid)) == set(brute_force_group(f, gid))
 
 
 def test_brute_force_only_at_q3():
     with pytest.raises(ValueError):
-        brute_force_orthogonal(Field(2))
+        brute_force_group(Field(2), "o3")
 
 
 @pytest.mark.parametrize("gid", GROUPS)
@@ -127,6 +129,80 @@ def test_brute_force_group_matches_enumeration(gid):
     assert sorted(brute_force_group(f, gid)) == sorted(enumerate_group(f, gid))
     with pytest.raises(ValueError):
         brute_force_group(Field(2), gid)
+
+
+def _iter_by_products(field, gid):
+    """The groups composed from their factors: u(A, h) sigma_rr v(h') by
+    mat_mul and rho as a negated last row, and Sp(2, q) by scanning
+    (a, b, c) and solving det = 1 for d.  The oracle for iter_group."""
+    add, mul, inv, neg = field.add, field.mul, field.inv, field.neg
+    if gid == "sp2":
+        for a in field.elements():
+            if a == 0:
+                for b in field.units():
+                    for d in field.elements():
+                        yield ((0, b), (neg(inv(b)), d))
+            else:
+                for b in field.elements():
+                    for c in field.elements():
+                        yield ((a, b), (c, mul(inv(a), add(1, mul(b, c)))))
+        return
+
+    def u(a, h):
+        return ((a, mul(a, mul(h, h)), neg(mul(a, h))), (0, inv(a), 0), (0, h, 1))
+
+    sigma = (_ID3, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
+    cells = ([(0, False), (1, True)] if gid == "so3"
+             else [(0, False), (1, False), (0, True), (1, True)])
+    for rr, rho in cells:
+        reps = [_ID3] if rr == 0 else [u(1, hp) for hp in field.elements()]
+        for a in field.units():
+            for h in field.elements():
+                base = mat_mul(field, u(a, h), sigma[rr])
+                for v in reps:
+                    w = mat_mul(field, base, v)
+                    yield (w[0], w[1], tuple(map(neg, w[2]))) if rho else w
+
+
+@pytest.mark.parametrize("gid", GROUPS)
+@pytest.mark.parametrize("r, modulus", [(1, None), (1, [1, 1]), (2, None), (2, [2, 1, 1]),
+                                        (3, None), (3, [1, 0, 2, 1])],
+                         ids=["r1", "r1-11", "r2", "r2-211", "r3", "r3-1021"])
+def test_cells_match_the_products(r, modulus, gid):
+    """The written-out cells give the composed elements, in the same order."""
+    f = Field(r, modulus)
+    assert list(iter_group(f, gid)) == list(_iter_by_products(f, gid))
+
+
+def test_enumeration_multiplies_no_matrices(monkeypatch):
+    calls = []
+
+    def counting(field, x, y):
+        calls.append(1)
+        return mat_mul(field, x, y)
+
+    monkeypatch.setattr(groups, "mat_mul", counting)
+    f = Field(2)
+    for gid in GROUPS:
+        assert sum(1 for _ in iter_group(f, gid)) == group_order(f.q, gid)
+    assert not calls
+
+
+@pytest.mark.parametrize("gid", GROUPS)
+def test_iter_group_is_the_one_validation_site(gid, monkeypatch):
+    """An element the predicate rejects is a construction bug in every group,
+    and the CLI reports it as exit 1 without a traceback."""
+    monkeypatch.setitem(groups._PREDICATES, gid, lambda field, w: False)
+    enumerate_group.cache_clear()
+    try:
+        with pytest.raises(VerificationError, match="construction bug"):
+            enumerate_group(Field(1), gid)
+        result = CliRunner().invoke(cli.main, ["group", "enumerate", "--group", gid])
+    finally:
+        enumerate_group.cache_clear()
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("r", [1, 2])
