@@ -374,7 +374,7 @@ def salie_check(field: Field, hmax: int) -> list[SalieReport]:
     """Compare MK^h with the Salie recurrence value, reporting h = 1..hmax.
 
     The recurrence MK^h = q^2 M_(h-1) - (q-1)^(h-1) + 2(-1)^(h-1) is stated
-    for prime q; at prime powers we evaluate and report rather than assert.
+    for prime q; the CLI checks it at every q and exits 1 on an unequal row.
     """
     if not 1 <= hmax <= _SALIE_MAX_H:
         raise UnsupportedScaleError(f"salie check bounded at hmax <= {_SALIE_MAX_H}, got {hmax}")

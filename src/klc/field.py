@@ -16,7 +16,10 @@ Multiplicative structure goes through discrete-log tables, so mul/inv/pow
 are O(1) lookups.  The generator is the smallest element g of order q - 1:
 each candidate gets the order test g^((q-1)/p) != 1 for every prime
 p | q - 1, by square-and-multiply, and only the generator is walked; its
-walk is the exp table.  Negation, the trace (F_3-linear, so fixed by the
+walk is the exp table.  Zero is a slot of the log table, at 2(q - 1), and
+a second antilog table holds the walk twice and then zeros, so mul is one
+lookup at the sum of the logs; squares are read off the log parity (g^k
+is a square iff k is even).  Negation, the trace (F_3-linear, so fixed by the
 traces of the basis monomials t^k) and, for q <= 729, the addition table
 are built digit by digit at construction and read by lookup; above
 q = 729 add is digit arithmetic mod 3.
@@ -183,9 +186,10 @@ class Field:
             raise FieldConfigError(f"modulus {list(self.modulus)} does not define a field")
         self.generator = gen
         self._exp = exp
-        self._log = [0] * q
+        self._log = [2 * (q - 1)] * q  # zero's log: past every sum of two unit logs
         for i, x in enumerate(exp):
             self._log[x] = i
+        self._exp2 = exp + exp + [0] * (2 * q - 1)
 
         # c * 3^k + x (x < 3^k) has digit c at position k: its negation, trace and
         # addition-table row follow from those of x and the trace t_k of t^k.
@@ -231,14 +235,12 @@ class Field:
         return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
-        return self._exp[(self._log[x] + self._log[y]) % (self.q - 1)]
+        return self._exp2[self._log[x] + self._log[y]]
 
     def inv(self, x: int) -> int:
         if x == 0:
             raise ZeroDivisionError(f"inverse of zero in GF({self.q})")
-        return self._exp[-self._log[x] % (self.q - 1)]
+        return self._exp2[self.q - 1 - self._log[x]]
 
     def pow(self, x: int, e: int) -> int:
         if x == 0:
@@ -252,10 +254,10 @@ class Field:
         return self._trace[x]
 
     def is_square(self, x: int) -> bool:
-        """Whether a unit x is a square, via the Euler criterion x^((q-1)/2) == 1."""
+        """Whether a unit x is a square: x = g^k is one iff k is even."""
         if x == 0:
             raise ValueError("square class of 0 is undefined; pass a unit")
-        return self.pow(x, (self.q - 1) // 2) == 1
+        return self._log[x] % 2 == 0
 
     # -- views -------------------------------------------------------
 

@@ -39,8 +39,8 @@ Element order is canonical and deterministic: for O(3, q) the cells in the
 order (rr=0, Q), (rr=1, Q), (rr=0, rho Q), (rr=1, rho Q), and inside a
 cell lexicographic by (enc(A), enc(h), enc(h')); for Sp(2, q)
 lexicographic by (enc(a), enc(b), enc(c) or enc(d)).  iter_group checks
-every element against the group's defining relation, and it is the only
-place that does.
+every element against the group's defining relation (for O(3, q) its six
+entry equations, see is_orthogonal), and it is the only place that does.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ from .errors import UnsupportedScaleError, VerificationError
 from .field import Field
 
 GROUPS = ("so3", "o3", "sp2")
-
-_J3 = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
 
 # Materializing a full group only makes sense at desk scale; streaming via
 # iter_group stays available for larger q.
@@ -141,20 +139,20 @@ def mat_det(field: Field, x: Mat) -> int:
     return add(sub(m1, m2), m3)
 
 
-def _form3(field: Field, x, y) -> int:
-    # bilinear form of J: x1 y2 + x2 y1 + x3 y3
-    add, mul = field.add, field.mul
-    return add(add(mul(x[0], y[1]), mul(x[1], y[0])), mul(x[2], y[2]))
-
-
 def is_orthogonal(field: Field, w: Mat) -> bool:
-    """Whether w^T J w == J, checked entrywise on column pairs."""
-    cols = tuple(zip(*w))
-    for i in range(3):
-        for j in range(i, 3):
-            if _form3(field, cols[i], cols[j]) != _J3[i][j]:
-                return False
-    return True
+    """Whether w J w^T == J (as J^2 = I, the same as w^T J w == J).  With
+    rows (a, b, c), (d, e, f), (g, h, i) and 2 = -1, its six entries read
+
+        c^2 = a b,   f^2 = d e,   i^2 = g h + 1,
+        a e + b d + c f = 1,   a h + b g + c i = 0,   d h + e g + f i = 0.
+    """
+    add, mul = field.add, field.mul
+    (a, b, c), (d, e, f), (g, h, i) = w
+    return (mul(c, c) == mul(a, b) and mul(f, f) == mul(d, e)
+            and mul(i, i) == add(mul(g, h), 1)
+            and add(add(mul(a, e), mul(b, d)), mul(c, f)) == 1
+            and add(add(mul(a, h), mul(b, g)), mul(c, i)) == 0
+            and add(add(mul(d, h), mul(e, g)), mul(f, i)) == 0)
 
 
 def is_special_orthogonal(field: Field, w: Mat) -> bool:

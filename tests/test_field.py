@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -137,6 +139,29 @@ def test_generator_guards_are_config_errors(monkeypatch):
         Field(2)
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("second", [False, True])
+def test_mul_and_inv_match_raw_products(r, second):
+    f = Field(r, _second_modulus(r) if second else None)
+    for x in f.elements():
+        for y in f.elements():
+            assert f.mul(x, y) == f._mul_raw(x, y)
+    for x in f.units():
+        assert f._mul_raw(x, f.inv(x)) == 1
+
+
+@pytest.mark.parametrize("r", [5, 8])
+@pytest.mark.parametrize("second", [False, True])
+def test_mul_matches_raw_products_on_a_sample(r, second):
+    f = Field(r, _second_modulus(r) if second else None)
+    q = f.q
+    rng = Random(r)
+    pairs = [(0, 0), (0, q - 1), (q - 1, 0), (1, 0)]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    for x, y in pairs:
+        assert f.mul(x, y) == f._mul_raw(x, y)
+
+
 # ---------------------------------------------------------------------------
 # arithmetic
 
@@ -250,6 +275,14 @@ def test_square_counts(r):
     squares = [x for x in f.units() if f.is_square(x)]
     assert len(squares) == (f.q - 1) // 2
     assert set(squares) == {f.mul(x, x) for x in f.units()}
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_is_square_matches_the_euler_criterion(r):
+    f = Field(r)
+    half = (f.q - 1) // 2
+    for x in f.units():
+        assert f.is_square(x) == (f.pow(x, half) == 1)
 
 
 def test_square_multiplicativity():

@@ -1,4 +1,5 @@
-from itertools import islice
+from itertools import islice, product
+from random import Random
 
 import pytest
 from click.testing import CliRunner
@@ -229,6 +230,43 @@ def test_membership_predicates_agree():
     assert so3 == {w for w in o3 if mat_det(f, w) == 1}
     assert all(is_special_orthogonal(f, w) for w in so3)
     assert all(is_symplectic(f, w) for w in enumerate_group(f, "sp2"))
+
+
+_J = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+
+
+def _orthogonal_by_definition(field, w):
+    """w^T J w == J by matrix products: the oracle for is_orthogonal."""
+    return mat_mul(field, mat_mul(field, tuple(zip(*w)), _J), w) == _J
+
+
+def test_is_orthogonal_matches_the_definition_on_every_matrix_at_q3():
+    f = Field(1)
+    rows = list(product(range(3), repeat=3))
+    members = 0
+    for w in product(rows, repeat=3):
+        verdict = is_orthogonal(f, w)
+        assert verdict == _orthogonal_by_definition(f, w), w
+        members += verdict
+    assert members == group_order(3, "o3")
+
+
+@pytest.mark.parametrize("r, modulus", [(2, None), (2, [2, 1, 1]), (3, None), (3, [1, 0, 2, 1])],
+                         ids=["r2", "r2-211", "r3", "r3-1021"])
+def test_is_orthogonal_matches_the_definition_near_the_group(r, modulus):
+    """Every element of O(3, q), and one-entry perturbations of a seeded
+    sample of them, get the verdict of w^T J w == J."""
+    f = Field(r, modulus)
+    elems = list(groups._iter_cells(f, "o3"))
+    for w in elems:
+        assert is_orthogonal(f, w) and _orthogonal_by_definition(f, w), w
+    rng = Random(r)
+    for _ in range(3000):
+        rows = [list(row) for row in elems[rng.randrange(len(elems))]]
+        i, j = rng.randrange(3), rng.randrange(3)
+        rows[i][j] = (rows[i][j] + rng.randrange(1, f.q)) % f.q
+        w = tuple(map(tuple, rows))
+        assert is_orthogonal(f, w) == _orthogonal_by_definition(f, w), w
 
 
 @pytest.mark.parametrize("gid", GROUPS)
