@@ -34,7 +34,7 @@ from typing import Mapping
 
 from .eisenstein import CycInt, char_sum
 from .errors import UnsupportedScaleError, VerificationError
-from .field import Field
+from .field import Field, _pack, _unpack
 
 FAMILIES = ("MK", "SK", "T0SK", "T12SK")
 
@@ -42,19 +42,6 @@ _DELTA_MAX_M = 4
 _DELTA_BLOCK = 128
 _SALIE_MAX_H = 4
 _PROP_E_MAX_M = 4
-
-
-def _pack(bits, width: int) -> int:
-    """The 0/1 sequence bits as one int, bits[i] in the width-byte slot i."""
-    buf = bytearray(len(bits) * width)
-    buf[::width] = bytes(bits)
-    return int.from_bytes(buf, "little")
-
-
-def _unpack(x: int, n: int, width: int) -> list[int]:
-    """The n width-byte slots of x, least significant first."""
-    buf = x.to_bytes(n * width, "little")
-    return [int.from_bytes(buf[k:k + width], "little") for k in range(0, n * width, width)]
 
 
 @lru_cache(maxsize=None)

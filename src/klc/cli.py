@@ -135,7 +135,8 @@ def charsums_moments(field, seed, hmax):
 @leaf(charsums_cmd, "salie",
       click.option("--hmax", type=click.IntRange(1, _SALIE_MAX_H), default=2, show_default=True))
 def charsums_salie(field, seed, hmax):
-    """Report the Salie recurrence for MK^h (stated at prime q)."""
+    """Check MK^h against the Salie recurrence (stated for prime q) at every q;
+    exit 1 when a row is unequal."""
     return [{"q": x.q, "h": x.h, "lhs": str(x.lhs), "rhs": str(x.rhs), "equal": x.equal}
             for x in salie_check(field, hmax)]
 

@@ -18,7 +18,11 @@ routes and must agree coefficient by coefficient:
     have closed forms, the two nonzero residues sharing one row.  The DP
     is folded by +-: flipping 1 <-> 2 merges the classes beta and -beta,
     the state keeps one column per pair {s, -s} since it stays symmetric,
-    and the last class computes only column 0, the one read;
+    and the last class computes only column 0, the one read.  Each column
+    is one int with its weights in fixed-width byte slots (Kronecker
+    substitution), so a pull is two exact int products; an entry of weight
+    j over m positions counts some of the C(m, j) 2^j words of weight j,
+    and the slots are sized by that bound, so none carries;
 
   * the MacWilliams transform of the q-word dual spectrum.  If c_s entries
     of c(a) equal s, the group's exponential sum is G(a) = c_0 + c_1 zeta +
@@ -41,7 +45,7 @@ from math import comb, factorial
 
 from .eisenstein import CycInt
 from .errors import UnsupportedScaleError, VerificationError
-from .field import Field
+from .field import Field, _pack, _unpack
 from .groups import (GROUPS, enumerate_group, gauss_sum_closed, gauss_sum_enumerated,
                      group_order, mat_trace, trace_spectrum_closed)
 
@@ -188,13 +192,14 @@ def _site_rows(n: int, cap: int) -> tuple[list[int], list[int]]:
             [comb(n, d) * (2**d - (-1) ** d) // 3 for d in ds])
 
 
-def _conv_acc(target: list[int], col: list[int], poly: list[int], cap: int) -> None:
-    """target += col * poly as polynomials, dropping degrees above cap."""
-    for w, c in enumerate(col):
-        if not c:
-            continue
-        end = min(w + len(poly), cap + 1)
-        target[w:end] = [t + c * p for t, p in zip(target[w:end], poly)]
+def _slot_bytes(m: int, width: int) -> int:
+    """Bytes per slot of a column over m >= width positions up to weight
+    width: its entry of weight j counts some of the C(m, j) 2^j words of
+    weight j.  The ratio of consecutive bounds is 2(m - j)/(j + 1), so they
+    rise up to j = (2m + 2) // 3 and the largest one up to width is at
+    the smaller of the two."""
+    j = min(width, (2 * m + 2) // 3)
+    return ((comb(m, j) << j).bit_length() + 7) // 8
 
 
 def weight_distribution_dp(field: Field, tag: str,
@@ -214,6 +219,16 @@ def weight_distribution_dp(field: Field, tag: str,
     per pair {s, -s}.  Only state[0] is read at the end, so the last class
     computes column 0 alone.
 
+    Each column is one int with its weights in fixed-width byte slots
+    (field._pack), so a pull is two int products, a sum and a mask that
+    drops the weights above the cap.  No slot carries into the next: over
+    the m positions pulled so far, an entry of weight j counts some of the
+    C(m, j) 2^j words of weight j, every term of a pull is nonnegative,
+    and for beta != 0 the columns s - beta and s + beta count disjoint
+    words.  The slots are as wide as the largest such bound up to the
+    current width, and the columns are repacked when that grows a byte.
+    Class 0 folds R_1 into its one row, since s - 0 == s + 0.
+
     Untruncated runs are bounded to N <= 2000; pass truncate_at=J for the
     exact counts C_0..C_J at any supported q.
     """
@@ -232,24 +247,29 @@ def weight_distribution_dp(field: Field, tag: str,
     col_of = [0] * field.q
     for i, s in enumerate(reps):
         col_of[s] = col_of[neg(s)] = i
-    state = [[0] for _ in reps]
-    state[0][0] = 1
-    width = 0
+    state = [0] * len(reps)
+    state[0] = 1
+    m = width = 0
+    nbytes = 1
     for beta in reps:
         minus = neg(beta)
         n = counts_beta[beta] + counts_beta[minus] if beta else counts_beta[0]
         stay, move = _site_rows(n, cap)
-        width = min(cap, width + len(stay) - 1)
-        new = []
-        for i, s in enumerate(reps[:1] if beta == reps[-1] else reps):
-            col = [0] * (width + 1)
-            _conv_acc(col, state[i], stay, width)
-            _conv_acc(col, [x + y for x, y in zip(state[col_of[add(s, minus)]],
-                                                  state[col_of[add(s, beta)]])],
-                      move, width)
-            new.append(col)
-        state = new
-    return WeightDistribution(code=tag, counts=tuple(state[0]), truncated_at=truncate_at)
+        if not beta:
+            stay, move = [x + 2 * y for x, y in zip(stay, move)], [0]
+        seen = width + 1
+        m, width = m + n, min(cap, width + len(stay) - 1)
+        grown = _slot_bytes(m, width)
+        if grown > nbytes:
+            state = [_pack(_unpack(col, seen, nbytes), grown) for col in state]
+            nbytes = grown
+        stay, move = _pack(stay, nbytes), _pack(move, nbytes)
+        mask = (1 << (8 * nbytes * (width + 1))) - 1
+        state = [(state[i] * stay
+                  + (state[col_of[add(s, minus)]] + state[col_of[add(s, beta)]]) * move) & mask
+                 for i, s in enumerate(reps[:1] if beta == reps[-1] else reps)]
+    return WeightDistribution(code=tag, counts=tuple(_unpack(state[0], width + 1, nbytes)),
+                              truncated_at=truncate_at)
 
 
 def _krawtchouk_row(n: int, x: int) -> list[int]:

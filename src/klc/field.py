@@ -23,6 +23,10 @@ is a square iff k is even).  Negation, the trace (F_3-linear, so fixed by the
 traces of the basis monomials t^k) and, for q <= 729, the addition table
 are built digit by digit at construction and read by lookup; above
 q = 729 add is digit arithmetic mod 3.
+
+_pack and _unpack write a sequence of nonnegative ints into fixed-width
+byte slots of one int and back (Kronecker substitution); charsums and
+codes multiply polynomials as such ints.
 """
 
 from __future__ import annotations
@@ -57,6 +61,18 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _pack(values, width: int) -> int:
+    """The nonnegative ints values as one int, values[i] in the width-byte
+    slot i; a value too wide for its slot raises OverflowError."""
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+
+def _unpack(x: int, n: int, width: int) -> list[int]:
+    """The n width-byte slots of x, least significant first."""
+    buf = x.to_bytes(n * width, "little")
+    return [int.from_bytes(buf[k:k + width], "little") for k in range(0, n * width, width)]
 
 
 def _poly_rem(f: Sequence[int], g: Sequence[int]) -> list[int]:

@@ -225,6 +225,15 @@ def test_site_rows_match_the_multinomial_sum():
             assert codes._site_rows(n, cap) == (r0, r1)
 
 
+def _conv_acc(target, col, poly, cap):
+    """target += col * poly as lists of coefficients, dropping degrees above cap."""
+    for w, c in enumerate(col):
+        if not c:
+            continue
+        end = min(w + len(poly), cap + 1)
+        target[w:end] = [t + c * p for t, p in zip(target[w:end], poly)]
+
+
 def _dp_unfolded(field, tag, cap):
     """The DP over all q classes and all q columns, with no symmetry used."""
     q, add = field.q, field.add
@@ -239,9 +248,9 @@ def _dp_unfolded(field, tag, cap):
         new = []
         for s in range(q):
             col = [0] * (width + 1)
-            codes._conv_acc(col, state[s], stay, width)
-            codes._conv_acc(col, [x + y for x, y in zip(state[add(s, minus)],
-                                                        state[add(s, beta)])], move, width)
+            _conv_acc(col, state[s], stay, width)
+            _conv_acc(col, [x + y for x, y in zip(state[add(s, minus)], state[add(s, beta)])],
+                      move, width)
             new.append(col)
         state = new
     return tuple(state[0])
@@ -256,6 +265,26 @@ def test_dp_matches_the_unfolded_dp(r, modulus, cap, tag):
     f = Field(r, modulus)
     counts = weight_distribution_dp(f, tag, truncate_at=cap).counts
     assert counts == _dp_unfolded(f, tag, code_length(f.q, tag) if cap is None else cap)
+
+
+def test_slot_bytes_fit_the_largest_bound():
+    for m in range(60):
+        for width in range(m + 1):
+            top = max(comb(m, j) * 2**j for j in range(width + 1))
+            assert codes._slot_bytes(m, width) == (top.bit_length() + 7) // 8, (m, width)
+
+
+@pytest.mark.parametrize("r, cap", [(1, None), (2, None), (5, 6)])
+def test_dp_reaches_the_slot_bound(monkeypatch, r, cap):
+    """With every position in trace class 0, every word of GF(3)^N sums to 0,
+    so C_j = C(N, j) 2^j: each count sits at the bound the slots are sized by."""
+    f = Field(r)
+    n = code_length(f.q, "so3")
+    monkeypatch.setattr(codes, "trace_spectrum_closed",
+                        lambda field, tag: (n,) + (0,) * (field.q - 1))
+    top = n if cap is None else cap
+    assert weight_distribution_dp(f, "so3", truncate_at=cap).counts == \
+        tuple(comb(n, j) * 2**j for j in range(top + 1))
 
 
 @pytest.mark.parametrize("tag", GROUPS)
