@@ -18,7 +18,9 @@ routes and must agree coefficient by coefficient:
     have closed forms, the two nonzero residues sharing one row.  The DP
     is folded by +-: flipping 1 <-> 2 merges the classes beta and -beta,
     the state keeps one column per pair {s, -s} since it stays symmetric,
-    and the last class computes only column 0, the one read.  Each column
+    and each class computes only the columns a later class reads: the
+    classes 3^(r-1), ..., 3, 1 and then 0 come last, and class 3^k computes
+    the pairs below 3^k, class 0 column 0 alone.  Each column
     is one int with its weights in fixed-width byte slots (Kronecker
     substitution), so a pull is two exact int products; an entry of weight
     j over m positions counts some of the C(m, j) 2^j words of weight j,
@@ -216,8 +218,20 @@ def weight_distribution_dp(field: Field, tag: str,
     and each pair {beta, -beta} is one class of n(beta) + n(-beta)
     positions.  The pull maps a state with state[s] == state[-s] to another
     one, and the start state[0] = 1 is such a state, so one column is kept
-    per pair {s, -s}.  Only state[0] is read at the end, so the last class
-    computes column 0 alone.
+    per pair {s, -s}.
+
+    Each class computes only the columns a later class reads.  The classes
+    run in the order: every beta other than 0 and the powers of 3,
+    ascending; then 3^(r-1), ..., 9, 3, 1; then 0.  The encodings s < 3^k
+    are the GF(3)-span of 1, t, ..., t^(k-1), since the base-3 digits are
+    the polynomial-basis coordinates and addition is digit-wise mod 3
+    whatever the modulus; so they are closed under +-, and their pairs
+    are the first (3^k + 1) // 2 of reps.  Class 3^(k-1) writes columns
+    s < 3^(k-1) and reads s and s +- 3^(k-1), all below 3^k, so class 3^k
+    computes the pairs below 3^k.  Class 0 reads column s only to write
+    column s, and it computes column 0 alone, the one returned.  Every
+    other class computes all columns.  Class 0, the smallest class, goes
+    last so that every earlier width leaves out its n(0) positions.
 
     Each column is one int with its weights in fixed-width byte slots
     (field._pack), so a pull is two int products, a sum and a mask that
@@ -247,11 +261,15 @@ def weight_distribution_dp(field: Field, tag: str,
     col_of = [0] * field.q
     for i, s in enumerate(reps):
         col_of[s] = col_of[neg(s)] = i
+    # (beta, number of columns it computes) in class order; see the docstring
+    powers = [3**k for k in reversed(range(field.r))]
+    plan = ([(beta, len(reps)) for beta in reps[1:] if beta not in powers]
+            + [(beta, (beta + 1) // 2) for beta in powers] + [(0, 1)])
     state = [0] * len(reps)
     state[0] = 1
     m = width = 0
     nbytes = 1
-    for beta in reps:
+    for beta, ncols in plan:
         minus = neg(beta)
         n = counts_beta[beta] + counts_beta[minus] if beta else counts_beta[0]
         stay, move = _site_rows(n, cap)
@@ -267,7 +285,7 @@ def weight_distribution_dp(field: Field, tag: str,
         mask = (1 << (8 * nbytes * (width + 1))) - 1
         state = [(state[i] * stay
                   + (state[col_of[add(s, minus)]] + state[col_of[add(s, beta)]]) * move) & mask
-                 for i, s in enumerate(reps[:1] if beta == reps[-1] else reps)]
+                 for i, s in enumerate(reps[:ncols])]
     return WeightDistribution(code=tag, counts=tuple(_unpack(state[0], width + 1, nbytes)),
                               truncated_at=truncate_at)
 

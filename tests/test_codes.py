@@ -259,12 +259,28 @@ def _dp_unfolded(field, tag, cap):
 @pytest.mark.parametrize("tag", GROUPS)
 @pytest.mark.parametrize("r, modulus, cap", [
     (1, None, None), (1, (1, 1), None), (1, (2, 1), None),
-    (3, None, 8), (3, (1, 0, 2, 1), 8), (4, None, 6), (4, (1, 0, 1, 1, 1), 6),
+    (2, None, 12), (2, (2, 1, 1), 12), (3, None, 8), (3, (1, 0, 2, 1), 8), (4, None, 6), (4, (1, 0, 1, 1, 1), 6),
 ])
 def test_dp_matches_the_unfolded_dp(r, modulus, cap, tag):
     f = Field(r, modulus)
     counts = weight_distribution_dp(f, tag, truncate_at=cap).counts
     assert counts == _dp_unfolded(f, tag, code_length(f.q, tag) if cap is None else cap)
+
+
+@pytest.mark.parametrize("r, modulus", [
+    (1, None), (1, (1, 1)), (2, None), (2, (2, 1, 1)), (3, None), (3, (1, 0, 2, 1)),
+    (4, None), (4, (1, 0, 1, 1, 1)), (5, None), (5, (1, 0, 0, 0, 2, 1)),
+])
+def test_encodings_below_each_power_of_3_are_a_subspace(r, modulus):
+    """The DP lets class 3^k compute only the pairs {s, -s} with s < 3^k: that
+    set must be closed under + and -, and its pairs a prefix of the reps."""
+    f = Field(r, modulus)
+    reps = [s for s in f.elements() if s <= f.neg(s)]
+    for k in range(r + 1):
+        low = range(3**k)
+        assert all(f.neg(s) in low for s in low), k
+        assert all(f.add(s, t) in low for s in low for t in low), k
+        assert reps[:(3**k + 1) // 2] == [s for s in reps if s in low], k
 
 
 def test_slot_bytes_fit_the_largest_bound():
@@ -285,6 +301,21 @@ def test_dp_reaches_the_slot_bound(monkeypatch, r, cap):
     top = n if cap is None else cap
     assert weight_distribution_dp(f, "so3", truncate_at=cap).counts == \
         tuple(comb(n, j) * 2**j for j in range(top + 1))
+
+
+@pytest.mark.parametrize("r, cap", [(1, None), (2, None), (5, 6)])
+def test_dp_with_every_position_in_trace_1(monkeypatch, r, cap):
+    """With every position in trace class 1 and every other class empty, a word
+    sums to 0 when its numbers of 1s and 2s agree mod 3, so filtering by the
+    cube roots of unity gives C_j = C(N, j) (2^j + 2 (-1)^j) / 3.  Class 1 is
+    the last class before 0 and computes column 0 alone."""
+    f = Field(r)
+    n = code_length(f.q, "so3")
+    monkeypatch.setattr(codes, "trace_spectrum_closed",
+                        lambda field, tag: (0, n) + (0,) * (field.q - 2))
+    top = n if cap is None else cap
+    assert weight_distribution_dp(f, "so3", truncate_at=cap).counts == \
+        tuple(comb(n, j) * (2**j + 2 * (-1) ** j) // 3 for j in range(top + 1))
 
 
 @pytest.mark.parametrize("tag", GROUPS)
