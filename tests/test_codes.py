@@ -259,7 +259,8 @@ def _dp_unfolded(field, tag, cap):
 @pytest.mark.parametrize("tag", GROUPS)
 @pytest.mark.parametrize("r, modulus, cap", [
     (1, None, None), (1, (1, 1), None), (1, (2, 1), None),
-    (2, None, 12), (2, (2, 1, 1), 12), (3, None, 8), (3, (1, 0, 2, 1), 8), (4, None, 6), (4, (1, 0, 1, 1, 1), 6),
+    (3, None, 8), (3, (1, 0, 2, 1), 8), (4, None, 6), (4, (1, 0, 1, 1, 1), 6),
+    (2, None, 12), (2, (2, 1, 1), 12),
 ])
 def test_dp_matches_the_unfolded_dp(r, modulus, cap, tag):
     f = Field(r, modulus)
