@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Mapping
 
-from .eisenstein import CycInt, char_sum
+from .eisenstein import char_sum
 from .errors import UnsupportedScaleError, VerificationError
 from .field import Field, _pack, _unpack
 
@@ -265,63 +265,6 @@ def delta(field: Field, m: int, beta: int) -> int:
     if not 0 <= beta < field.q:
         raise ValueError(f"beta must be an element of GF({field.q}), got {beta}")
     return delta_table(field, m)[beta]
-
-
-# ---------------------------------------------------------------------------
-# the exponential sum over nonsingular symmetric matrices
-
-
-def a_r_closed_form(q: int, rr: int) -> int:
-    """Closed form for the symmetric-matrix exponential sum of size rr.
-
-    Zero for odd rr; q^(rr(rr+2)/4) * prod_{j=1}^{rr/2} (q^(2j-1) - 1) for even rr.
-    """
-    if rr < 0:
-        raise ValueError(f"matrix size must be nonnegative, got {rr}")
-    if rr % 2 == 1:
-        return 0
-    out = q ** (rr * (rr + 2) // 4)
-    for j in range(1, rr // 2 + 1):
-        out *= q ** (2 * j - 1) - 1
-    return out
-
-
-def a_r_sum(field: Field, rr: int) -> CycInt:
-    """sum over nonsingular symmetric rr x rr matrices B and vectors h of
-    lambda(h^T B h), computed by brute force and checked against the closed form."""
-    if rr not in (1, 2):
-        raise UnsupportedScaleError(
-            f"brute force bounded at rr <= 2, got {rr}; "
-            f"closed form gives {a_r_closed_form(field.q, rr)}"
-        )
-    add, mul, sub = field.add, field.mul, field.sub
-
-    def terms():
-        if rr == 1:
-            for b in field.units():
-                for h in field.elements():
-                    yield mul(b, mul(h, h)), 1
-            return
-        two = 2  # the field constant 2 == -1
-        for a in field.elements():
-            for b in field.elements():
-                for d in field.elements():
-                    if sub(mul(a, d), mul(b, b)) == 0:
-                        continue
-                    for h1 in field.elements():
-                        ah1 = mul(a, mul(h1, h1))
-                        bh1 = mul(mul(two, b), h1)
-                        for h2 in field.elements():
-                            yield add(ah1, add(mul(bh1, h2), mul(d, mul(h2, h2)))), 1
-
-    acc = char_sum(field, terms())
-    expected = a_r_closed_form(field.q, rr)
-    if acc != CycInt(expected, 0):
-        raise VerificationError(
-            f"symmetric-matrix sum mismatch at q={field.q}, rr={rr}: "
-            f"enumerated {acc!r}, closed form {expected}"
-        )
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ def _wrap(body):
 
 def _field(q_exponent: int, modulus: str | None) -> Field:
     coeffs = None
-    if modulus:
+    if modulus is not None:
         try:
             coeffs = [int(c) for c in modulus.split(",")]
         except ValueError:

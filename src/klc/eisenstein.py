@@ -77,14 +77,6 @@ class CycInt:
             raise VerificationError(f"{self!r} is not a rational integer")
         return self.a
 
-    def to_json(self) -> dict:
-        """JSON form with decimal-string components (safe for huge values)."""
-        return {"a": str(self.a), "b": str(self.b)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CycInt":
-        return cls(int(obj["a"]), int(obj["b"]))
-
     def __eq__(self, other) -> bool:
         if isinstance(other, CycInt):
             return self.a == other.a and self.b == other.b

@@ -48,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import comb
 from random import Random
 from typing import Iterator
 
@@ -78,27 +77,6 @@ def group_order(q: int, gid: str) -> int:
     gid = _check_gid(gid)
     base = q * (q * q - 1)
     return 2 * base if gid == "o3" else base
-
-
-def q_binomial(q: int, n: int, rr: int) -> int:
-    """Gaussian binomial [n choose rr]_q as an exact integer."""
-    if not 0 <= rr <= n:
-        raise ValueError(f"need 0 <= rr <= n, got rr={rr}, n={n}")
-    num = den = 1
-    for j in range(rr):
-        num *= q ** (n - j) - 1
-        den *= q ** (rr - j) - 1
-    if num % den:
-        raise VerificationError(f"Gaussian binomial [{n},{rr}]_{q} did not divide exactly")
-    return num // den
-
-
-def coset_count(q: int, rr: int) -> int:
-    """Number of coset representatives used by the rr-th cell at n = 1:
-    q^C(rr+1, 2) * [1 choose rr]_q, i.e. 1 for rr = 0 and q for rr = 1."""
-    if rr not in (0, 1):
-        raise ValueError(f"rr must be 0 or 1 at n = 1, got {rr}")
-    return q ** comb(rr + 1, 2) * q_binomial(q, 1, rr)
 
 
 # ---------------------------------------------------------------------------

@@ -199,33 +199,3 @@ def corollary_n(field: Field) -> list[RecursionReport]:
         out.append(RecursionReport("corollary-n", q, 1, lhs, rhs,
                                    lhs == rhs, digest, family=family))
     return out
-
-
-# ---------------------------------------------------------------------------
-# forward modes: compute moments from spectra instead of checking them
-
-
-def predict_t12sk(field: Field, hmax: int) -> dict[int, Fraction]:
-    """T12SK^h from the weight counts alone, chaining the recursion upward."""
-    _check_hmax(hmax)
-    c1 = truncated_counts(field, "so3", hmax)
-    csp = truncated_counts(field, "sp2", hmax)
-    preds: dict[int, Fraction] = {}
-    for h in range(1, hmax + 1):
-        preds[h] = _a1_rhs(field, h, preds, c1, csp) / _lhs_coeff(h)
-    return preds
-
-
-def solve_sk(field: Field, hmax: int) -> dict[int, Fraction]:
-    """SK^h from the Sp(2,q) weight counts, solving the identity for the
-    top term at each height; SK^0 is the number of nonzero squares."""
-    _check_hmax(hmax)
-    csp = truncated_counts(field, "sp2", hmax)
-    q = field.q
-    sk: dict[int, Fraction] = {0: Fraction(q - 1, 2)}
-    for h in range(1, hmax + 1):
-        # the left side is linear in SK^h with coefficient (-1)^h 2 (2q/3)^h
-        sk[h] = Fraction(0)
-        gap = _l_rhs(field, h, sk, csp) - _l_lhs(field, h, sk)
-        sk[h] = (-1) ** h * gap / (2 * (2 * q // 3) ** h)
-    return sk

@@ -3,8 +3,6 @@ import sys
 import pytest
 
 from klc.charsums import (
-    a_r_closed_form,
-    a_r_sum,
     delta,
     delta_table,
     delta_table_brute,
@@ -17,7 +15,6 @@ from klc.charsums import (
     prop_e_check,
     salie_check,
 )
-from klc.eisenstein import CycInt
 from klc.errors import UnsupportedScaleError, VerificationError
 from klc.field import Field
 
@@ -255,29 +252,6 @@ def test_delta_rejects_beta_outside_the_field():
     for bad in (-1, 9):
         with pytest.raises(ValueError, match="beta"):
             delta(f, 1, bad)
-
-
-# ---------------------------------------------------------------------------
-# the symmetric-matrix sum
-
-
-def test_a_r_closed_form_values():
-    assert a_r_closed_form(3, 0) == 1
-    assert a_r_closed_form(3, 1) == 0
-    assert a_r_closed_form(3, 2) == 18
-    assert a_r_closed_form(9, 2) == 648
-    assert a_r_closed_form(3, 4) == 3**6 * 2 * 26
-
-
-@pytest.mark.parametrize("r,rr", [(1, 1), (1, 2), (2, 1), (2, 2)])
-def test_a_r_sum_matches_closed_form(r, rr):
-    f = Field(r)
-    assert a_r_sum(f, rr) == CycInt(a_r_closed_form(f.q, rr), 0)
-
-
-def test_a_r_sum_guard_mentions_closed_form():
-    with pytest.raises(UnsupportedScaleError, match="37908"):
-        a_r_sum(Field(1), 4)
 
 
 # ---------------------------------------------------------------------------

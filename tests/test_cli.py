@@ -289,6 +289,32 @@ def test_package_has_no_assert_statements():
         assert not found, f"{path.name}: assert at lines {found}"
 
 
+def test_public_names_resolve():
+    """klc.__all__ lists each public name once, and each one exists."""
+    assert len(klc.__all__) == len(set(klc.__all__))
+    for name in klc.__all__:
+        assert getattr(klc, name) is not None, name
+    namespace = {}
+    exec("from klc import *", namespace)
+    assert set(klc.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("module,name", [
+    ("klc.moments", "predict_t12sk"), ("klc.moments", "solve_sk"),
+    ("klc.groups", "q_binomial"), ("klc.groups", "coset_count"),
+    ("klc.charsums", "a_r_closed_form"), ("klc.charsums", "a_r_sum"),
+    ("klc.eisenstein.CycInt", "to_json"), ("klc.eisenstein.CycInt", "from_json"),
+])
+def test_unreached_functions_are_gone(module, name):
+    """Functions that no command, battery row or other library function
+    calls are not part of the package."""
+    owner = klc
+    for part in module.split(".")[1:]:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, name)
+    assert name not in klc.__all__
+
+
 def test_math_failure_exits_one(runner, monkeypatch):
     """Broken invariants are verification failures, not usage errors."""
     monkeypatch.setattr(cli, "corollary_n", lambda field: [ZETA.to_int()])
@@ -330,6 +356,12 @@ def test_bad_modulus_flags(runner):
         result = runner.invoke(cli.main, ["verify", "corollary-n"] + flags)
         assert result.exit_code == 2, flags
 
+
+def test_empty_modulus_is_a_usage_error(runner):
+    """An empty --modulus is refused, not read as the default modulus."""
+    result = runner.invoke(cli.main, ["verify", "corollary-n", "--modulus", ""])
+    assert result.exit_code == 2
+    assert "--modulus expects comma-separated integers" in result.output
 
 
 # ---------------------------------------------------------------------------

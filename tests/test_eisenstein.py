@@ -1,4 +1,3 @@
-import json
 from random import Random
 
 import pytest
@@ -78,17 +77,6 @@ def test_to_int_guards_realness():
 def test_truthiness():
     assert not ZERO
     assert ONE and ZETA and CycInt(0, -3)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-@given(st.integers(-(10**40), 10**40), st.integers(-(10**40), 10**40))
-def test_json_round_trip(a, b):
-    x = CycInt(a, b)
-    blob = json.dumps(x.to_json())
-    assert CycInt.from_json(json.loads(blob)) == x
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from klc.groups import (
     check_gauss_sum,
     check_trace_spectrum,
     closure_spot_check,
-    coset_count,
     enumerate_group,
     gauss_sum_closed,
     gauss_sum_enumerated,
@@ -28,7 +27,6 @@ from klc.groups import (
     mat_det,
     mat_mul,
     mat_trace,
-    q_binomial,
     trace_spectrum,
     trace_spectrum_closed,
 )
@@ -53,24 +51,6 @@ def test_unknown_group_rejected():
         group_order(3, "su2")
     with pytest.raises(ValueError):
         enumerate_group(Field(1), "gl3")
-
-
-def test_q_binomial():
-    assert q_binomial(3, 1, 0) == 1
-    assert q_binomial(3, 1, 1) == 1
-    assert q_binomial(3, 2, 1) == 4
-    assert q_binomial(9, 2, 1) == 10
-    assert q_binomial(3, 4, 2) == q_binomial(3, 4, 2)  # deterministic
-    with pytest.raises(ValueError):
-        q_binomial(3, 1, 2)
-
-
-def test_coset_count():
-    for q in (3, 9, 27):
-        assert coset_count(q, 0) == 1
-        assert coset_count(q, 1) == q
-    with pytest.raises(ValueError):
-        coset_count(3, 2)
 
 
 # ---------------------------------------------------------------------------

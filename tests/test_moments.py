@@ -2,14 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from klc.charsums import moment_table
 from klc.codes import weight_distribution_dp
 from klc.errors import UnsupportedScaleError
 from klc.field import Field
 from klc.moments import (
     corollary_n,
-    predict_t12sk,
-    solve_sk,
     theorem_a1,
     theorem_a2,
     theorem_l,
@@ -90,7 +87,7 @@ def test_lhs_and_rhs_are_fractions_with_small_denominators():
 
 def test_hmax_guards():
     f = Field(1)
-    for checker in (theorem_a1, theorem_a2, theorem_l, predict_t12sk, solve_sk):
+    for checker in (theorem_a1, theorem_a2, theorem_l):
         with pytest.raises(UnsupportedScaleError):
             checker(f, 0)
         with pytest.raises(UnsupportedScaleError):
@@ -133,28 +130,3 @@ def test_truncated_counts_prefix_coherence():
     # asking for a shorter prefix later must not lose the cached tail
     again = truncated_counts(f, "o3", 2)
     assert again == short[:3]
-
-
-# ---------------------------------------------------------------------------
-# forward modes
-
-
-@pytest.mark.parametrize("r", [1, 2])
-def test_predict_t12sk_matches_enumeration(r):
-    f = Field(r)
-    hmax = 6 if r == 1 else 4
-    preds = predict_t12sk(f, hmax)
-    mt = moment_table(f, hmax)
-    for h in range(1, hmax + 1):
-        assert preds[h] == mt.value("T12SK", h)
-
-
-@pytest.mark.parametrize("r", [1, 2])
-def test_solve_sk_matches_enumeration(r):
-    f = Field(r)
-    hmax = 6 if r == 1 else 4
-    sks = solve_sk(f, hmax)
-    mt = moment_table(f, hmax)
-    assert sks[0] == Fraction(f.q - 1, 2)
-    for h in range(1, hmax + 1):
-        assert sks[h] == mt.value("SK", h)
