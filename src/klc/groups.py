@@ -30,10 +30,21 @@ rr = 1 cell is
 of trace A h^2 + h'^2/A + (1 - t).  A rho cell is the same matrix with its
 last row negated.
 
+Rows that do not depend on every cell parameter are built once and yielded
+by reference: the middle row of an rr = 1 cell once per (A, h'), its last
+row and that row's rho negation once per (h, h'), (0, 1/A, 0) once per A
+and (0, h, 1) once per h in rr = 0 cells.  The top row of an rr = 1 cell is
+A times the per-(h, h') triple (h^2, t^2 + 1 - t, -h (t + 1)), kept as the
+logs of its entries, so each entry is one lookup in the field's antilog
+table at log A + log x.  The per-(h, h') tables are built lazily, one h at
+a time, the first time the loop reaches that h, so iter_group stays a
+stream: its first elements cost O(q) work at any q.
+
 Sp(2, q) is SL(2, q): the 2x2 matrices preserving the alternating form
 [[0, 1], [-1, 0]], which for 2x2 matrices is exactly det == 1.  Its a = 0
 cell is [[0, b], [-1/b, d]] for b a unit and any d; for a unit a it is
-[[a, b], [c, (1 + b c)/a]] for any b and c.
+[[a, b], [c, (1 + b c)/a]] for any b and c.  The top row (a, b) is built
+once per (a, b).
 
 Element order is canonical and deterministic: for O(3, q) the cells in the
 order (rr=0, Q), (rr=1, Q), (rr=0, rho Q), (rr=1, rho Q), and inside a
@@ -41,6 +52,9 @@ cell lexicographic by (enc(A), enc(h), enc(h')); for Sp(2, q)
 lexicographic by (enc(a), enc(b), enc(c) or enc(d)).  iter_group checks
 every element against the group's defining relation (for O(3, q) its six
 entry equations, see is_orthogonal), and it is the only place that does.
+The membership checks read each entry's log once and form each product of
+two entries as one antilog lookup at the sum of their logs, as Field.mul
+does.
 """
 
 from __future__ import annotations
@@ -107,14 +121,21 @@ def mat_trace(field: Field, x: Mat) -> int:
 
 
 def mat_det(field: Field, x: Mat) -> int:
-    add, sub, mul = field.add, field.sub, field.mul
+    """The determinant by cofactors along the top row.  Each entry's log is
+    read once and each product of two entries is one _exp2 lookup at the
+    sum of their logs, as in Field.mul; a triple product takes two, since
+    three times the log of zero falls outside _exp2."""
+    log, exp2, sub = field._log, field._exp2, field.sub
     if len(x) == 2:
-        return sub(mul(x[0][0], x[1][1]), mul(x[0][1], x[1][0]))
+        (a, b), (c, d) = x
+        return sub(exp2[log[a] + log[d]], exp2[log[b] + log[c]])
     (a, b, c), (d, e, f), (g, h, i) = x
-    m1 = mul(a, sub(mul(e, i), mul(f, h)))
-    m2 = mul(b, sub(mul(d, i), mul(f, g)))
-    m3 = mul(c, sub(mul(d, h), mul(e, g)))
-    return add(sub(m1, m2), m3)
+    a, b, c, d, e, f, g, h, i = (log[a], log[b], log[c], log[d], log[e], log[f],
+                                 log[g], log[h], log[i])
+    m1 = exp2[a + log[sub(exp2[e + i], exp2[f + h])]]
+    m2 = exp2[b + log[sub(exp2[d + i], exp2[f + g])]]
+    m3 = exp2[c + log[sub(exp2[d + h], exp2[e + g])]]
+    return field.add(sub(m1, m2), m3)
 
 
 def is_orthogonal(field: Field, w: Mat) -> bool:
@@ -123,14 +144,19 @@ def is_orthogonal(field: Field, w: Mat) -> bool:
 
         c^2 = a b,   f^2 = d e,   i^2 = g h + 1,
         a e + b d + c f = 1,   a h + b g + c i = 0,   d h + e g + f i = 0.
+
+    Each entry's log is read once, and each product is one _exp2 lookup at
+    the sum of two logs.
     """
-    add, mul = field.add, field.mul
+    log, exp2, add = field._log, field._exp2, field.add
     (a, b, c), (d, e, f), (g, h, i) = w
-    return (mul(c, c) == mul(a, b) and mul(f, f) == mul(d, e)
-            and mul(i, i) == add(mul(g, h), 1)
-            and add(add(mul(a, e), mul(b, d)), mul(c, f)) == 1
-            and add(add(mul(a, h), mul(b, g)), mul(c, i)) == 0
-            and add(add(mul(d, h), mul(e, g)), mul(f, i)) == 0)
+    a, b, c, d, e, f, g, h, i = (log[a], log[b], log[c], log[d], log[e], log[f],
+                                 log[g], log[h], log[i])
+    return (exp2[c + c] == exp2[a + b] and exp2[f + f] == exp2[d + e]
+            and exp2[i + i] == add(exp2[g + h], 1)
+            and add(add(exp2[a + e], exp2[b + d]), exp2[c + f]) == 1
+            and add(add(exp2[a + h], exp2[b + g]), exp2[c + i]) == 0
+            and add(add(exp2[d + h], exp2[e + g]), exp2[f + i]) == 0)
 
 
 def is_special_orthogonal(field: Field, w: Mat) -> bool:
@@ -151,42 +177,65 @@ _PREDICATES = {"so3": is_special_orthogonal, "o3": is_orthogonal, "sp2": is_symp
 
 def _iter_cells(field: Field, gid: str) -> Iterator[Mat]:
     """Every element of the group in canonical order, written out from its
-    cell parameters as in the module docstring.  Nothing is checked here."""
-    add, sub, mul, inv, neg = field.add, field.sub, field.mul, field.inv, field.neg
+    cell parameters as in the module docstring.  Rows that do not depend on
+    every parameter are built once and yielded by reference, and a product
+    by A or 1/A is one _exp2 lookup at the sum of the logs.  Nothing is
+    checked here."""
+    add, inv, neg = field.add, field.inv, field.neg
+    log, exp2 = field._log, field._exp2
     elems = field.elements()
     if gid == "sp2":
         # a = 0: det = -bc = 1 forces c = -1/b, and d is free
         for b in field.units():
-            c = neg(inv(b))
+            top, c = (0, b), neg(inv(b))
             for d in elems:
-                yield ((0, b), (c, d))
+                yield (top, (c, d))
         for a in field.units():
-            ia = inv(a)
+            lia = log[inv(a)]
             for b in elems:
+                top, lb = (a, b), log[b]
                 for c in elems:
-                    yield ((a, b), (c, mul(ia, add(1, mul(b, c)))))
+                    yield (top, (c, exp2[lia + log[add(1, exp2[lb + log[c]])]]))
         return
     cells = ((0, False), (1, True)) if gid == "so3" else (
         (0, False), (1, False), (0, True), (1, True))
-    sq = [mul(h, h) for h in elems]
+    lsq = [log[exp2[2 * log[h]]] for h in elems]  # log h^2
+    lneg = [log[neg(h)] for h in elems]  # log -h
+    lows0 = [(0, h, 1) for h in elems]
+    rho_lows0 = [tuple(map(neg, low)) for low in lows0]
+    tables: list = [None] * field.q
+
+    def table(h: int) -> tuple:
+        # With t = h h': the logs of the top row's entries over A, t^2 + 1 - t
+        # and -h (t + 1), then the last row and its rho negation, over h'.
+        l1s, l2s, lows, rho_lows = [], [], [], []
+        lh = log[h]
+        for hp in elems:
+            t = exp2[lh + log[hp]]
+            one_t = add(1, neg(t))
+            l1s.append(log[add(exp2[2 * log[t]], one_t)])
+            l2s.append(log[exp2[lneg[h] + log[add(t, 1)]]])
+            low = (h, add(exp2[lh + lsq[hp]], hp), one_t)
+            lows.append(low)
+            rho_lows.append(tuple(map(neg, low)))
+        tables[h] = out = (l1s, l2s, lows, rho_lows)
+        return out
+
     for rr, rho in cells:
         for a in field.units():
-            ia = inv(a)
+            la, ia = log[a], inv(a)
+            if rr == 0:
+                mid = (0, ia, 0)
+                for h, low in zip(elems, rho_lows0 if rho else lows0):
+                    yield ((a, exp2[la + lsq[h]], exp2[la + lneg[h]]), mid, low)
+                continue
+            lia = log[ia]
+            mids = [(ia, exp2[lia + lsq[hp]], exp2[lia + lneg[hp]]) for hp in elems]
             for h in elems:
-                ah = mul(a, h)
-                ah2 = mul(ah, h)
-                if rr == 0:
-                    cell = [((a, ah2, neg(ah)), (0, ia, 0), (0, h, 1))]
-                else:
-                    cell = []
-                    for hp in elems:
-                        t = mul(h, hp)
-                        cell.append(((ah2, mul(a, add(mul(t, t), sub(1, t))),
-                                      neg(mul(ah, add(t, 1)))),
-                                     (ia, mul(ia, sq[hp]), neg(mul(ia, hp))),
-                                     (h, add(mul(h, sq[hp]), hp), sub(1, t))))
-                for top, mid, low in cell:
-                    yield (top, mid, tuple(map(neg, low)) if rho else low)
+                l1s, l2s, lows, rho_lows = tables[h] or table(h)
+                ah2 = exp2[la + lsq[h]]
+                for mid, l1, l2, low in zip(mids, l1s, l2s, rho_lows if rho else lows):
+                    yield ((ah2, exp2[la + l1], exp2[la + l2]), mid, low)
 
 
 def iter_group(field: Field, gid: str) -> Iterator[Mat]:

@@ -68,6 +68,45 @@ def test_mat_helpers():
     assert mat_det(f, ((0, 1), (2, 0))) == 1
 
 
+def _det_by_cofactors(field, x):
+    """Cofactor expansion along the top row through Field.mul: the oracle
+    for the log-domain mat_det."""
+    add, sub, mul = field.add, field.sub, field.mul
+    if len(x) == 2:
+        return sub(mul(x[0][0], x[1][1]), mul(x[0][1], x[1][0]))
+    (a, b, c), (d, e, f), (g, h, i) = x
+    return add(sub(mul(a, sub(mul(e, i), mul(f, h))), mul(b, sub(mul(d, i), mul(f, g)))),
+               mul(c, sub(mul(d, h), mul(e, g))))
+
+
+@pytest.mark.parametrize("r, modulus", [(1, None), (1, [1, 1]), (2, None), (2, [2, 1, 1])],
+                         ids=["r1", "r1-11", "r2", "r2-211"])
+def test_mat_det_matches_cofactors_on_every_2x2(r, modulus):
+    f = Field(r, modulus)
+    for w in product(product(f.elements(), repeat=2), repeat=2):
+        assert mat_det(f, w) == _det_by_cofactors(f, w), w
+
+
+@pytest.mark.parametrize("r, modulus", [(2, None), (2, [2, 1, 1]), (3, None), (3, [1, 0, 2, 1])],
+                         ids=["r2", "r2-211", "r3", "r3-1021"])
+def test_mat_det_matches_cofactors_on_seeded_3x3(r, modulus):
+    """2,000 seeded 3x3 matrices; every other one has a random set of its
+    entries forced to zero, so products with a zero factor and zero
+    cofactors are met."""
+    f = Field(r, modulus)
+    rng = Random(r)
+    zeros = 0
+    for k in range(2000):
+        entries = [rng.randrange(f.q) for _ in range(9)]
+        if k % 2:
+            for j in rng.sample(range(9), rng.randrange(1, 9)):
+                entries[j] = 0
+        zeros += entries.count(0)
+        w = (tuple(entries[0:3]), tuple(entries[3:6]), tuple(entries[6:9]))
+        assert mat_det(f, w) == _det_by_cofactors(f, w), w
+    assert zeros > 4000
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -186,6 +225,37 @@ def test_iter_group_is_the_one_validation_site(gid, monkeypatch):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("gid", GROUPS)
+def test_a_corrupted_cell_is_caught(gid, monkeypatch):
+    """One entry of one element changed late in the stream is a construction
+    bug.  The changed row is new and the element's other rows are the
+    shared ones, by reference, each already yielded with an earlier
+    element, so a check skipped for a row seen before would let it through."""
+    f = Field(2)
+    members = set(enumerate_group(f, gid))
+    cells = groups._iter_cells
+    at = group_order(f.q, gid) - 2
+
+    def corrupted(row):
+        def stream(field, g):
+            for k, w in enumerate(cells(field, g)):
+                if k == at:
+                    bad = (field.add(w[row][0], 1),) + w[row][1:]
+                    w = w[:row] + (bad,) + w[row + 1:]
+                    assert w not in members
+                yield w
+        return stream
+
+    for row in range(2 if gid == "sp2" else 3):
+        monkeypatch.setattr(groups, "_iter_cells", corrupted(row))
+        enumerate_group.cache_clear()
+        try:
+            with pytest.raises(VerificationError, match="construction bug"):
+                enumerate_group(f, gid)
+        finally:
+            enumerate_group.cache_clear()
+
+
 @pytest.mark.parametrize("r", [1, 2])
 def test_symplectic_is_det_one(r):
     f = Field(r)
@@ -271,6 +341,17 @@ def test_streaming_beyond_materialization_cap():
     head = list(islice(iter_group(f, "so3"), 50))
     assert len(head) == 50
     assert all(is_special_orthogonal(f, w) for w in head)
+
+
+@pytest.mark.parametrize("gid", GROUPS)
+def test_streaming_at_the_top_of_the_range(gid):
+    """The first elements at q = 6561 stream, pass the group's predicate
+    and are the composed elements."""
+    f = Field(8)
+    head = list(islice(iter_group(f, gid), 50))
+    assert len(head) == 50
+    assert all(groups._PREDICATES[gid](f, w) for w in head)
+    assert head == list(islice(_iter_by_products(f, gid), 50))
 
 
 # ---------------------------------------------------------------------------
