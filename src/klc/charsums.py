@@ -20,13 +20,15 @@ additive convolution of delta(1, .), one fold per m on top of the cached
 delta(m - 1, .) (delta_table).  The direct
 enumerations stay as oracles: kloosterman_all_brute sums each K(a) over
 the units, and delta_table_brute enumerates every m-tuple of units.
-Moments then sum powers of K over each index set; none of the recursion
-identities verified elsewhere in this package are used here, so these
-tables can serve as an independent oracle for them.
+Each moment is a power sum over the histogram of the K values on its
+index set; none of the recursion identities verified elsewhere in this
+package are used here, so these tables can serve as an independent
+oracle for them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -60,8 +62,8 @@ def kloosterman_all(field: Field):
     raises VerificationError.  kloosterman_all_brute is the oracle.
     """
     q, n = field.q, field.q - 1
-    g = field.generator
-    trace = [field.trace(field.pow(g, i)) for i in range(n)]
+    walk = field._exp  # walk[l] = g^l
+    trace = [field.trace(x) for x in walk]
     width = n.bit_length() // 8 + 1
     ind = [_pack([t == u for t in trace], width) for u in range(3)]
     low = (1 << (8 * width * n)) - 1
@@ -75,8 +77,7 @@ def kloosterman_all(field: Field):
     n1 = _unpack(conv(2, 2) + 2 * conv(0, 1), n, width)
     n2 = _unpack(conv(1, 1) + 2 * conv(0, 2), n, width)
     vals: list = [None] * q
-    for l in range(n):
-        a = field.pow(g, l)
+    for l, a in enumerate(walk):
         if n1[l] != n2[l]:
             raise VerificationError(
                 f"K({a}) over GF({q}) is not real: counts {n0[l]}, {n1[l]}, {n2[l]}")
@@ -176,29 +177,34 @@ class MomentTable:
 
 
 def moment_table(field: Field, hmax: int) -> MomentTable:
-    """All four moment families for h = 0..hmax by direct enumeration."""
+    """All four moment families for h = 0..hmax.
+
+    Each family is a power sum over a histogram: c_v units of its index set
+    give K == v (K(a) for MK and SK, K(a^2) for T0SK and T12SK), so its h-th
+    moment is sum c_v v^h.  K takes at most 4 sqrt(q) + 1 distinct values
+    (the Weil bound), so the powers cost O(sqrt(q) hmax) products.
+    """
     if hmax < 0:
         raise ValueError(f"hmax must be nonnegative, got {hmax}")
     kv = kloosterman_all(field)
-    entries: dict[tuple[str, int], int] = {(f, h): 0 for f in FAMILIES for h in range(hmax + 1)}
+    hists = [Counter() for _ in FAMILIES]
+    mk, sk, t0sk, t12sk = hists
     for a in field.units():
         k = kv[a]
-        ksq = kv[field.mul(a, a)]
-        square = field.is_square(a)
-        tr_zero = field.trace(a) == 0
-        pk, pksq = 1, 1
-        for h in range(hmax + 1):
-            entries[("MK", h)] += pk
-            if square:
-                entries[("SK", h)] += pk
-            if tr_zero:
-                entries[("T0SK", h)] += pksq
-            else:
-                entries[("T12SK", h)] += pksq
-            pk *= k
-            pksq *= ksq
+        mk[k] += 1
+        if field.is_square(a):
+            sk[k] += 1
+        (t0sk if field.trace(a) == 0 else t12sk)[kv[field.mul(a, a)]] += 1
     # SK over squares equals the same sum over {a^2}: each square is hit twice
     # when a runs over all units, which is the content of 2 SK = T0SK + T12SK.
+    entries: dict[tuple[str, int], int] = {}
+    for family, hist in zip(FAMILIES, hists):
+        sums = [0] * (hmax + 1)
+        for v, c in hist.items():
+            for h in range(hmax + 1):
+                sums[h] += c
+                c *= v
+        entries.update(((family, h), s) for h, s in enumerate(sums))
     return MomentTable(q=field.q, hmax=hmax, entries=entries)
 
 

@@ -16,13 +16,20 @@ Multiplicative structure goes through discrete-log tables, so mul/inv/pow
 are O(1) lookups.  The generator is the smallest element g of order q - 1:
 each candidate gets the order test g^((q-1)/p) != 1 for every prime
 p | q - 1, by square-and-multiply, and only the generator is walked; its
-walk is the exp table.  Zero is a slot of the log table, at 2(q - 1), and
-a second antilog table holds the walk twice and then zeros, so mul is one
-lookup at the sum of the logs; squares are read off the log parity (g^k
-is a square iff k is even).  Negation, the trace (F_3-linear, so fixed by the
-traces of the basis monomials t^k) and, for q <= 729, the addition table
-are built digit by digit at construction and read by lookup; above
-q = 729 add is digit arithmetic mod 3.
+walk is the exp table.  Each step x -> x g of the walk is F_3-linear, so
+it is the sum of two lookups, x g on the low k = ceil(r/2) digits of x and
+on the high r - k digits, tabulated by 3^k + 3^(r-k) raw products.  Zero
+is a slot of the log table, at 2(q - 1), and a second antilog table holds
+the walk twice and then zeros, so mul is one lookup at the sum of the
+logs; squares are read off the log parity (g^k is a square iff k is even).
+
+Negation, the trace (F_3-linear, so fixed by the traces of the basis
+monomials t^k) and the addition tables are built digit by digit at
+construction and read by lookup.  For q <= 729 add reads the full q x q
+table.  Above q = 729 it reads the split table T over 3^k x 3^k:
+add(x, y) = T[x_h][y_h] 3^k + T[x_l][y_l] for the high and low digits
+x = x_h 3^k + x_l.  _add_slow, digit arithmetic mod 3, is the oracle for
+both.
 
 _pack and _unpack write a sequence of nonnegative ints into fixed-width
 byte slots of one int and back (Kronecker substitution); charsums and
@@ -185,7 +192,24 @@ class Field:
         return out
 
     def _build_tables(self) -> None:
-        q = self.q
+        q, r = self.q, self.r
+        # c * 3^k + x (x < 3^k) has digit c at position k: its negation and
+        # addition-table row follow from those of x.  The table over the low
+        # half of the digits, k < ceil(r/2), is the split adder's; the full
+        # table goes on to every digit for q <= 729.
+        half = (r + 1) // 2
+        neg, table = [0], [[0]]
+        for k in range(r):
+            p = 3**k
+            neg += [(3 - c) * p + v for c in (1, 2) for v in neg]
+            if k < half or q <= _ADD_TABLE_MAX_Q:
+                table = [[(c + d) % 3 * p + v for d in range(3) for v in row]
+                         for c in range(3) for row in table]
+            if k + 1 == half:
+                self._split, self._split_table = 3 * p, table
+        self._neg = neg
+        self._add_table = table if q <= _ADD_TABLE_MAX_Q else None
+
         # The first candidate of order q - 1 is the generator: g^((q-1)/p) != 1 for
         # every prime p | q - 1.  Its walk is exp.
         cofactors = [(q - 1) // p for p in _prime_factors(q - 1)]
@@ -194,10 +218,15 @@ class Field:
                 break
         else:
             raise FieldConfigError(f"no primitive element found for modulus {list(self.modulus)}")
+        # x -> x * gen is F_3-linear, so it is the sum of its values on the low
+        # and the high digits of x, each tabulated by raw products.
+        split, add = self._split, self.add
+        low = [self._mul_raw(x, gen) for x in range(split)]
+        high = [self._mul_raw(x * split, gen) for x in range(q // split)]
         exp, x = [1], gen
         while x != 1 and len(exp) < q:
             exp.append(x)
-            x = self._mul_raw(x, gen)
+            x = add(high[x // split], low[x % split])
         if len(exp) != q - 1:
             raise FieldConfigError(f"modulus {list(self.modulus)} does not define a field")
         self.generator = gen
@@ -207,30 +236,22 @@ class Field:
             self._log[x] = i
         self._exp2 = exp + exp + [0] * (2 * q - 1)
 
-        # c * 3^k + x (x < 3^k) has digit c at position k: its negation, trace and
-        # addition-table row follow from those of x and the trace t_k of t^k.
-        neg, trace = [0], [0]
-        table = [[0]] if q <= _ADD_TABLE_MAX_Q else None
-        for k in range(self.r):
+        # The trace is F_3-linear: fixed digit by digit by the trace t_k of t^k.
+        trace = [0]
+        for k in range(r):
             p = 3**k
             t_k = 0
-            for j in range(self.r):
+            for j in range(r):
                 t_k = self._add_slow(t_k, self.pow(p, 3**j))
             if t_k >= 3:
                 raise VerificationError(f"trace of {p} landed outside the prime field")
-            neg += [(3 - c) * p + v for c in (1, 2) for v in neg]
             trace += [(v + c * t_k) % 3 for c in (1, 2) for v in trace]
-            if table is not None:
-                table = [[(c + d) % 3 * p + v for d in range(3) for v in row]
-                         for c in range(3) for row in table]
-        self._neg = neg
         self._trace = trace
-        self._add_table = table
 
     # -- arithmetic --------------------------------------------------
 
     def _add_slow(self, x: int, y: int) -> int:
-        """Digit-by-digit sum; the add above q = 729 and the oracle for the table."""
+        """Digit-by-digit sum; the oracle for both addition tables."""
         out, shift = 0, 1
         while x or y:
             out += ((x % 3) + (y % 3)) % 3 * shift
@@ -242,7 +263,10 @@ class Field:
     def add(self, x: int, y: int) -> int:
         if self._add_table is not None:
             return self._add_table[x][y]
-        return self._add_slow(x, y)
+        split, table = self._split, self._split_table
+        xh, xl = divmod(x, split)
+        yh, yl = divmod(y, split)
+        return table[xh][yh] * split + table[xl][yl]
 
     def neg(self, x: int) -> int:
         return self._neg[x]

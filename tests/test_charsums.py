@@ -20,7 +20,8 @@ from klc.field import Field
 
 # A non-default monic irreducible of each degree, constant term first.
 OTHER_MODULUS = {1: (1, 1), 2: (2, 1, 1), 3: (1, 0, 2, 1), 4: (1, 0, 1, 1, 1),
-                 5: (1, 0, 0, 0, 2, 1)}
+                 5: (1, 0, 0, 0, 2, 1), 6: (2, 2, 0, 0, 0, 0, 1),
+                 7: (1, 2, 1, 0, 0, 0, 0, 1), 8: (2, 0, 2, 0, 0, 0, 0, 0, 1)}
 
 # ---------------------------------------------------------------------------
 # the basic sums
@@ -163,6 +164,39 @@ def test_moment_rows_shape():
     assert len(rows) == 4 * 3
     assert all(set(row) == {"q", "family", "h", "value"} for row in rows)
     assert all(isinstance(row["value"], str) for row in rows)
+
+
+def _moment_entries_by_units(field, hmax):
+    """Oracle for moment_table: each unit adds its powers to its families."""
+    kv = kloosterman_all(field)
+    entries = {(f, h): 0 for f in ("MK", "SK", "T0SK", "T12SK") for h in range(hmax + 1)}
+    for a in field.units():
+        k = kv[a]
+        ksq = kv[field.mul(a, a)]
+        square = field.is_square(a)
+        tr_zero = field.trace(a) == 0
+        pk, pksq = 1, 1
+        for h in range(hmax + 1):
+            entries[("MK", h)] += pk
+            if square:
+                entries[("SK", h)] += pk
+            if tr_zero:
+                entries[("T0SK", h)] += pksq
+            else:
+                entries[("T12SK", h)] += pksq
+            pk *= k
+            pksq *= ksq
+    return entries
+
+
+@pytest.mark.parametrize("modulus", ["default", "other"])
+@pytest.mark.parametrize("r", range(1, 9))
+def test_moment_table_matches_the_per_unit_sums(r, modulus):
+    f = Field(r, OTHER_MODULUS[r] if modulus == "other" else None)
+    mt = moment_table(f, 16)
+    oracle = _moment_entries_by_units(f, 16)
+    assert list(mt.entries) == list(oracle)
+    assert mt.entries == oracle
 
 
 def test_moment_table_guard():

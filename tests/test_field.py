@@ -127,6 +127,22 @@ def test_generator_search_walks_only_the_generator(monkeypatch):
     assert calls <= f.q - 1 + 800
 
 
+def test_field_build_tabulates_the_walk(monkeypatch):
+    """The walk reads x * g off the products of g with the low and the high
+    digits of x: 3^4 + 3^4 raw products at r = 8, plus the order tests."""
+    calls = 0
+    mul_raw = Field._mul_raw
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += 1
+        return mul_raw(self, x, y)
+
+    monkeypatch.setattr(Field, "_mul_raw", counted)
+    Field(8)
+    assert calls <= 3**4 + 3**4 + 800
+
+
 def test_generator_guards_are_config_errors(monkeypatch):
     # with no prime to test, 2 is taken as the generator and its walk stops at order 2
     with monkeypatch.context() as m:
@@ -164,6 +180,37 @@ def test_mul_matches_raw_products_on_a_sample(r, second):
 
 # ---------------------------------------------------------------------------
 # arithmetic
+
+
+@pytest.mark.parametrize("r", [7, 8])
+@pytest.mark.parametrize("second", [False, True])
+def test_split_add_matches_digit_sums(r, second):
+    f = Field(r, _second_modulus(r) if second else None)
+    q, split = f.q, 3 ** ((r + 1) // 2)
+    for x in (0, 1, split - 1, split, q - 1):
+        for y in f.elements():
+            assert f.add(x, y) == f._add_slow(x, y)
+            assert f.add(y, x) == f._add_slow(y, x)
+    rng = Random(r + 10 * second)
+    for _ in range(20000):
+        x, y = rng.randrange(q), rng.randrange(q)
+        assert f.add(x, y) == f._add_slow(x, y)
+
+
+def test_add_above_729_reads_the_split_table(monkeypatch):
+    f = Field(7)
+    calls = 0
+
+    def counted(self, x, y):
+        nonlocal calls
+        calls += 1
+        return 0
+
+    monkeypatch.setattr(Field, "_add_slow", counted)
+    rng = Random(7)
+    for _ in range(1000):
+        f.add(rng.randrange(f.q), rng.randrange(f.q))
+    assert calls == 0
 
 
 def test_gf3_tables():
