@@ -5,14 +5,13 @@ Everything is integer or rational arithmetic; no identity is ever checked
 with a tolerance.
 """
 
-from .charsums import (MomentTable, delta, delta_table, delta_table_brute, kloosterman,
-                       kloosterman_all, kloosterman_all_brute, kloosterman_gl,
-                       kloosterman_gl_brute, moment_table, prop_e_check, salie_check)
-from .codes import (WeightDistribution, code_dimension, code_length, dual_codeword,
-                    dual_spectrum, dual_weight_formula, dual_weights, pless_check,
-                    pless_sum, stirling2, weight_distribution_dp,
-                    weight_distribution_macwilliams)
-from .eisenstein import CycInt, additive_char, char_sum, zeta_pow
+from .charsums import (MomentTable, delta_table, delta_table_brute, kloosterman_all,
+                       kloosterman_all_brute, kloosterman_gl, kloosterman_gl_brute,
+                       moment_table, prop_e_check, salie_check)
+from .codes import (WeightDistribution, code_length, dual_codeword, dual_spectrum,
+                    dual_weight_formula, dual_weights, pless_check, pless_sum, stirling2,
+                    weight_distribution_dp, weight_distribution_macwilliams)
+from .eisenstein import CycInt, additive_char, char_sum
 from .errors import FieldConfigError, UnsupportedScaleError, VerificationError
 from .field import Field, default_modulus, is_irreducible
 from .groups import (brute_force_group, check_gauss_sum, check_trace_spectrum,
@@ -27,14 +26,13 @@ __all__ = [
     "CycInt", "Field", "MomentTable", "RecursionReport", "WeightDistribution",
     "FieldConfigError", "UnsupportedScaleError", "VerificationError",
     "additive_char", "brute_force_group", "char_sum", "check_gauss_sum",
-    "check_trace_spectrum", "closure_spot_check", "code_dimension", "code_length",
-    "corollary_n", "default_modulus", "delta", "delta_table", "delta_table_brute",
-    "dual_codeword", "dual_spectrum", "dual_weight_formula", "dual_weights",
-    "enumerate_group", "gauss_sum_closed", "gauss_sum_enumerated", "group_order",
-    "is_irreducible", "iter_group", "kloosterman", "kloosterman_all",
-    "kloosterman_all_brute", "kloosterman_gl", "kloosterman_gl_brute", "mat_mul",
-    "mat_trace", "moment_table", "pless_check", "pless_sum", "prop_e_check",
-    "salie_check", "stirling2", "theorem_a1", "theorem_a2", "theorem_l",
-    "trace_spectrum", "trace_spectrum_closed", "weight_distribution_dp",
-    "weight_distribution_macwilliams", "zeta_pow",
+    "check_trace_spectrum", "closure_spot_check", "code_length", "corollary_n",
+    "default_modulus", "delta_table", "delta_table_brute", "dual_codeword",
+    "dual_spectrum", "dual_weight_formula", "dual_weights", "enumerate_group",
+    "gauss_sum_closed", "gauss_sum_enumerated", "group_order", "is_irreducible",
+    "iter_group", "kloosterman_all", "kloosterman_all_brute", "kloosterman_gl",
+    "kloosterman_gl_brute", "mat_mul", "mat_trace", "moment_table", "pless_check",
+    "pless_sum", "prop_e_check", "salie_check", "stirling2", "theorem_a1", "theorem_a2",
+    "theorem_l", "trace_spectrum", "trace_spectrum_closed", "weight_distribution_dp",
+    "weight_distribution_macwilliams",
 ]

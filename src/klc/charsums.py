@@ -41,7 +41,6 @@ from .field import Field, _pack, _unpack
 FAMILIES = ("MK", "SK", "T0SK", "T12SK")
 
 _DELTA_MAX_M = 4
-_DELTA_BLOCK = 128
 _SALIE_MAX_H = 4
 _PROP_E_MAX_M = 4
 
@@ -94,13 +93,6 @@ def kloosterman_all_brute(field: Field):
     return (None, *(kloosterman_gl_brute(field, 1, a) for a in field.units()))
 
 
-def kloosterman(field: Field, a: int) -> int:
-    """The Kloosterman sum K(a) for a unit a."""
-    if not 1 <= a < field.q:
-        raise ValueError(f"a must be a unit of GF({field.q}), got {a}")
-    return kloosterman_all(field)[a]
-
-
 def kloosterman_gl(field: Field, t: int, a: int) -> int:
     """Kloosterman sum over GL(t, q) via its recursion in t.
 
@@ -113,8 +105,9 @@ def kloosterman_gl(field: Field, t: int, a: int) -> int:
     prev, cur = 1, None
     if t == 0:
         return prev
-    cur = kloosterman(field, a)
-    k1 = cur
+    if not 1 <= a < q:
+        raise ValueError(f"a must be a unit of GF({q}), got {a}")
+    cur = k1 = kloosterman_all(field)[a]
     for s in range(2, t + 1):
         prev, cur = cur, q ** (s - 1) * cur * k1 + q ** (2 * s - 2) * (q ** (s - 1) - 1) * prev
     return cur
@@ -221,13 +214,13 @@ def delta_table(field: Field, m: int) -> tuple[int, ...]:
     delta(0, beta) = [beta == 0], and delta(1, .) is counted over the q - 1
     units.  For m >= 2, delta(m, .) is one fold of the cached delta(m - 1, .)
     with delta(1, .) over (GF(q), +), about q^2/2 additions, so the tables
-    for m = 0..mmax cost mmax folds in all.  A cold call first primes
-    delta(m - B, .) for the block B = _DELTA_BLOCK, so the recursion is
-    about m/B + B calls deep and a cold call makes O(m) cache lookups.
-    delta_table_brute is the oracle.
+    for m = 0..mmax cost mmax folds in all.  Every caller asks for
+    m <= 4, the bound delta_table_brute, the oracle, shares.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
+    if m > _DELTA_MAX_M:
+        raise UnsupportedScaleError(f"delta table bounded at m <= {_DELTA_MAX_M}, got {m}")
     q, add = field.q, field.add
     if m == 0:
         return tuple(1 if beta == 0 else 0 for beta in range(q))
@@ -236,8 +229,6 @@ def delta_table(field: Field, m: int) -> tuple[int, ...]:
         for alpha in field.units():
             acc[add(alpha, field.inv(alpha))] += 1
         return tuple(acc)
-    if m > _DELTA_BLOCK + 1:
-        delta_table(field, m - _DELTA_BLOCK)
     d1 = [(y, cy) for y, cy in enumerate(delta_table(field, 1)) if cy]
     for x, cx in enumerate(delta_table(field, m - 1)):
         if cx:
@@ -264,13 +255,6 @@ def delta_table_brute(field: Field, m: int) -> tuple[int, ...]:
             acc = add(acc, v)
         counts[acc] += 1
     return tuple(counts)
-
-
-def delta(field: Field, m: int, beta: int) -> int:
-    """delta(m, beta) for an element beta of GF(q)."""
-    if not 0 <= beta < field.q:
-        raise ValueError(f"beta must be an element of GF({field.q}), got {beta}")
-    return delta_table(field, m)[beta]
 
 
 # ---------------------------------------------------------------------------

@@ -65,10 +65,6 @@ def code_length(q: int, tag: str) -> int:
     return group_order(q, _check_tag(tag))
 
 
-def code_dimension(field: Field, tag: str) -> int:
-    return code_length(field.q, tag) - field.r
-
-
 def _full_length(q: int, tag: str) -> int:
     """N, refused above the bound shared by both full-table methods."""
     n_total = code_length(q, tag)

@@ -101,11 +101,6 @@ ZETA = CycInt(0, 1)
 _ZETA_POWERS = (ONE, ZETA, CycInt(-1, -1))
 
 
-def zeta_pow(t: int) -> CycInt:
-    """zeta^t for any integer t."""
-    return _ZETA_POWERS[t % 3]
-
-
 def additive_char(field, x: int) -> CycInt:
     """The canonical additive character lambda(x) = zeta^trace(x)."""
     return _ZETA_POWERS[field.trace(x)]

@@ -31,6 +31,12 @@ add(x, y) = T[x_h][y_h] 3^k + T[x_l][y_l] for the high and low digits
 x = x_h 3^k + x_l.  _add_slow, digit arithmetic mod 3, is the oracle for
 both.
 
+Loops that add field elements by the hundred thousand (the group
+membership checks and traces) read the addition table's rows, _rows,
+instead of calling add: _rows[x][y] is x + y.  For q <= 729 _rows is the
+full table itself; above it, a read-only view whose row x sums through T
+as add does, so the same code runs at every q.
+
 _pack and _unpack write a sequence of nonnegative ints into fixed-width
 byte slots of one int and back (Kronecker substitution); charsums and
 codes multiply polynomials as such ints.
@@ -123,6 +129,33 @@ def default_modulus(r: int) -> tuple[int, ...]:
     raise FieldConfigError(f"no irreducible polynomial of degree {r} found")
 
 
+class _SplitRow:
+    """Row x of the addition table: self[y] = T[x_h][y_h] 3^k + T[x_l][y_l]."""
+
+    __slots__ = ("_split", "_high", "_low")
+
+    def __init__(self, split: int, table: list[list[int]], x: int):
+        xh, xl = divmod(x, split)
+        self._split, self._high, self._low = split, table[xh], table[xl]
+
+    def __getitem__(self, y: int) -> int:
+        yh, yl = divmod(y, self._split)
+        return self._high[yh] * self._split + self._low[yl]
+
+
+class _SplitRows:
+    """The addition table's rows above q = 729, where no q x q table is
+    built: self[x][y] is x + y, summed through the split table T."""
+
+    __slots__ = ("_split", "_table")
+
+    def __init__(self, split: int, table: list[list[int]]):
+        self._split, self._table = split, table
+
+    def __getitem__(self, x: int) -> _SplitRow:
+        return _SplitRow(self._split, self._table, x)
+
+
 class Field:
     """GF(3^r) in a polynomial basis.
 
@@ -209,6 +242,7 @@ class Field:
                 self._split, self._split_table = 3 * p, table
         self._neg = neg
         self._add_table = table if q <= _ADD_TABLE_MAX_Q else None
+        self._rows = table if q <= _ADD_TABLE_MAX_Q else _SplitRows(self._split, self._split_table)
 
         # The first candidate of order q - 1 is the generator: g^((q-1)/p) != 1 for
         # every prime p | q - 1.  Its walk is exp.
@@ -306,17 +340,6 @@ class Field:
 
     def units(self) -> range:
         return range(1, self.q)
-
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        return tuple(_digits(x, self.r))
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> int:
-        if len(coeffs) > self.r:
-            raise ValueError(f"too many coefficients for GF({self.q})")
-        enc = 0
-        for c in reversed([c % 3 for c in coeffs]):
-            enc = enc * 3 + c
-        return enc
 
     # -- identity ----------------------------------------------------
 

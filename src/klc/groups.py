@@ -54,7 +54,12 @@ every element against the group's defining relation (for O(3, q) its six
 entry equations, see is_orthogonal), and it is the only place that does.
 The membership checks read each entry's log once and form each product of
 two entries as one antilog lookup at the sum of their logs, as Field.mul
-does.
+does.  They, the cells, mat_trace and trace_spectrum make no Field method
+call per entry: a sum is read off the field's addition-table rows as
+rows[rows[x][y]][z], and a difference as rows[x][neg[y]] with the
+negation list.  Above q = 729 the rows are a view through the split
+table, so the same code runs at every q.  mat_mul keeps Field.add and
+Field.mul; it and the digit-sum adder _add_slow are the oracles.
 """
 
 from __future__ import annotations
@@ -114,28 +119,31 @@ def mat_mul(field: Field, x: Mat, y: Mat) -> Mat:
 
 
 def mat_trace(field: Field, x: Mat) -> int:
-    acc = 0
-    for i in range(len(x)):
-        acc = field.add(acc, x[i][i])
-    return acc
+    """The trace of a 3x3 or 2x2 matrix, its diagonal summed through the
+    addition table's rows."""
+    rows = field._rows
+    if len(x) == 2:
+        return rows[x[0][0]][x[1][1]]
+    return rows[rows[x[0][0]][x[1][1]]][x[2][2]]
 
 
 def mat_det(field: Field, x: Mat) -> int:
     """The determinant by cofactors along the top row.  Each entry's log is
     read once and each product of two entries is one _exp2 lookup at the
     sum of their logs, as in Field.mul; a triple product takes two, since
-    three times the log of zero falls outside _exp2."""
-    log, exp2, sub = field._log, field._exp2, field.sub
+    three times the log of zero falls outside _exp2.  Each difference
+    u - v is read off the addition table's rows as rows[u][neg[v]]."""
+    log, exp2, rows, neg = field._log, field._exp2, field._rows, field._neg
     if len(x) == 2:
         (a, b), (c, d) = x
-        return sub(exp2[log[a] + log[d]], exp2[log[b] + log[c]])
+        return rows[exp2[log[a] + log[d]]][neg[exp2[log[b] + log[c]]]]
     (a, b, c), (d, e, f), (g, h, i) = x
     a, b, c, d, e, f, g, h, i = (log[a], log[b], log[c], log[d], log[e], log[f],
                                  log[g], log[h], log[i])
-    m1 = exp2[a + log[sub(exp2[e + i], exp2[f + h])]]
-    m2 = exp2[b + log[sub(exp2[d + i], exp2[f + g])]]
-    m3 = exp2[c + log[sub(exp2[d + h], exp2[e + g])]]
-    return field.add(sub(m1, m2), m3)
+    m1 = exp2[a + log[rows[exp2[e + i]][neg[exp2[f + h]]]]]
+    m2 = exp2[b + log[rows[exp2[d + i]][neg[exp2[f + g]]]]]
+    m3 = exp2[c + log[rows[exp2[d + h]][neg[exp2[e + g]]]]]
+    return rows[rows[m1][neg[m2]]][m3]
 
 
 def is_orthogonal(field: Field, w: Mat) -> bool:
@@ -145,18 +153,19 @@ def is_orthogonal(field: Field, w: Mat) -> bool:
         c^2 = a b,   f^2 = d e,   i^2 = g h + 1,
         a e + b d + c f = 1,   a h + b g + c i = 0,   d h + e g + f i = 0.
 
-    Each entry's log is read once, and each product is one _exp2 lookup at
-    the sum of two logs.
+    Each entry's log is read once, each product is one _exp2 lookup at
+    the sum of two logs, and each sum x + y + z is read off the addition
+    table's rows as rows[rows[x][y]][z].
     """
-    log, exp2, add = field._log, field._exp2, field.add
+    log, exp2, rows = field._log, field._exp2, field._rows
     (a, b, c), (d, e, f), (g, h, i) = w
     a, b, c, d, e, f, g, h, i = (log[a], log[b], log[c], log[d], log[e], log[f],
                                  log[g], log[h], log[i])
     return (exp2[c + c] == exp2[a + b] and exp2[f + f] == exp2[d + e]
-            and exp2[i + i] == add(exp2[g + h], 1)
-            and add(add(exp2[a + e], exp2[b + d]), exp2[c + f]) == 1
-            and add(add(exp2[a + h], exp2[b + g]), exp2[c + i]) == 0
-            and add(add(exp2[d + h], exp2[e + g]), exp2[f + i]) == 0)
+            and exp2[i + i] == rows[exp2[g + h]][1]
+            and rows[rows[exp2[a + e]][exp2[b + d]]][exp2[c + f]] == 1
+            and rows[rows[exp2[a + h]][exp2[b + g]]][exp2[c + i]] == 0
+            and rows[rows[exp2[d + h]][exp2[e + g]]][exp2[f + i]] == 0)
 
 
 def is_special_orthogonal(field: Field, w: Mat) -> bool:
@@ -178,16 +187,17 @@ _PREDICATES = {"so3": is_special_orthogonal, "o3": is_orthogonal, "sp2": is_symp
 def _iter_cells(field: Field, gid: str) -> Iterator[Mat]:
     """Every element of the group in canonical order, written out from its
     cell parameters as in the module docstring.  Rows that do not depend on
-    every parameter are built once and yielded by reference, and a product
-    by A or 1/A is one _exp2 lookup at the sum of the logs.  Nothing is
-    checked here."""
-    add, inv, neg = field.add, field.inv, field.neg
+    every parameter are built once and yielded by reference, a product by
+    A or 1/A is one _exp2 lookup at the sum of the logs, and a sum is read
+    off the addition table's rows.  Nothing is checked here."""
+    inv, rows, neg = field.inv, field._rows, field._neg
     log, exp2 = field._log, field._exp2
+    one = rows[1]  # one[x] = 1 + x
     elems = field.elements()
     if gid == "sp2":
         # a = 0: det = -bc = 1 forces c = -1/b, and d is free
         for b in field.units():
-            top, c = (0, b), neg(inv(b))
+            top, c = (0, b), neg[inv(b)]
             for d in elems:
                 yield (top, (c, d))
         for a in field.units():
@@ -195,14 +205,14 @@ def _iter_cells(field: Field, gid: str) -> Iterator[Mat]:
             for b in elems:
                 top, lb = (a, b), log[b]
                 for c in elems:
-                    yield (top, (c, exp2[lia + log[add(1, exp2[lb + log[c]])]]))
+                    yield (top, (c, exp2[lia + log[one[exp2[lb + log[c]]]]]))
         return
     cells = ((0, False), (1, True)) if gid == "so3" else (
         (0, False), (1, False), (0, True), (1, True))
     lsq = [log[exp2[2 * log[h]]] for h in elems]  # log h^2
-    lneg = [log[neg(h)] for h in elems]  # log -h
+    lneg = [log[neg[h]] for h in elems]  # log -h
     lows0 = [(0, h, 1) for h in elems]
-    rho_lows0 = [tuple(map(neg, low)) for low in lows0]
+    rho_lows0 = [tuple(map(neg.__getitem__, low)) for low in lows0]
     tables: list = [None] * field.q
 
     def table(h: int) -> tuple:
@@ -212,12 +222,12 @@ def _iter_cells(field: Field, gid: str) -> Iterator[Mat]:
         lh = log[h]
         for hp in elems:
             t = exp2[lh + log[hp]]
-            one_t = add(1, neg(t))
-            l1s.append(log[add(exp2[2 * log[t]], one_t)])
-            l2s.append(log[exp2[lneg[h] + log[add(t, 1)]]])
-            low = (h, add(exp2[lh + lsq[hp]], hp), one_t)
+            one_t = one[neg[t]]
+            l1s.append(log[rows[exp2[2 * log[t]]][one_t]])
+            l2s.append(log[exp2[lneg[h] + log[one[t]]]])
+            low = (h, rows[exp2[lh + lsq[hp]]][hp], one_t)
             lows.append(low)
-            rho_lows.append(tuple(map(neg, low)))
+            rho_lows.append(tuple(map(neg.__getitem__, low)))
         tables[h] = out = (l1s, l2s, lows, rho_lows)
         return out
 
@@ -294,10 +304,17 @@ def brute_force_group(field: Field, gid: str) -> list[Mat]:
 
 @lru_cache(maxsize=None)
 def trace_spectrum(field: Field, gid: str) -> tuple[int, ...]:
-    """N(beta) = #{w in G : Tr w == beta} for all beta, by enumeration."""
+    """N(beta) = #{w in G : Tr w == beta} for all beta, by enumeration; each
+    trace is its diagonal summed through the addition table's rows."""
+    gid = _check_gid(gid)
+    rows, elems = field._rows, enumerate_group(field, gid)
     counts = [0] * field.q
-    for w in enumerate_group(field, gid):
-        counts[mat_trace(field, w)] += 1
+    if gid == "sp2":
+        for (a, _), (_, d) in elems:
+            counts[rows[a][d]] += 1
+    else:
+        for (a, _, _), (_, e, _), (_, _, i) in elems:
+            counts[rows[rows[a][e]][i]] += 1
     return tuple(counts)
 
 

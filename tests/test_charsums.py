@@ -1,12 +1,8 @@
-import sys
-
 import pytest
 
 from klc.charsums import (
-    delta,
     delta_table,
     delta_table_brute,
-    kloosterman,
     kloosterman_all,
     kloosterman_all_brute,
     kloosterman_gl,
@@ -29,23 +25,23 @@ OTHER_MODULUS = {1: (1, 1), 2: (2, 1, 1), 3: (1, 0, 2, 1), 4: (1, 0, 1, 1, 1),
 
 def test_kloosterman_q3_values():
     f = Field(1)
-    assert kloosterman(f, 1) == -1
-    assert kloosterman(f, 2) == 2
     assert kloosterman_all(f) == (None, -1, 2)
+    assert kloosterman_gl(f, 1, 1) == -1
+    assert kloosterman_gl(f, 1, 2) == 2
 
 
 def test_kloosterman_rejects_non_units():
     f = Field(2)
     for bad in (0, 9, -1):
         with pytest.raises(ValueError):
-            kloosterman(f, bad)
+            kloosterman_gl(f, 1, bad)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_weil_bound_and_realness(r):
     f = Field(r)
     for a in f.units():
-        k = kloosterman(f, a)
+        k = kloosterman_all(f)[a]
         assert isinstance(k, int)
         assert k * k <= 4 * f.q
 
@@ -55,7 +51,7 @@ def test_frobenius_invariance(r):
     """K(a^3) = K(a): cubing permutes the units and fixes every trace."""
     f = Field(r)
     for a in f.units():
-        assert kloosterman(f, f.pow(a, 3)) == kloosterman(f, a)
+        assert kloosterman_all(f)[f.pow(a, 3)] == kloosterman_all(f)[a]
 
 
 def test_kloosterman_q9_values():
@@ -224,7 +220,7 @@ def test_delta_one_trichotomy(r):
             for x in f.units()
             if f.add(f.sub(f.mul(x, x), f.mul(beta, x)), 1) == 0
         )
-        assert delta(f, 1, beta) == roots
+        assert delta_table(f, 1)[beta] == roots
         assert roots in (0, 1, 2)
 
 
@@ -257,35 +253,16 @@ def test_delta_table_matches_brute_force(r, modulus):
 
 
 def test_delta_past_the_brute_force_bound():
+    """delta_table is bounded as delta_table_brute is: both routes to
+    delta(m, .) stop at m = 4, the largest m any caller asks for, and
+    refuse a negative m."""
     f = Field(1)
-    assert sum(delta_table(f, 6)) == 2**6
-    with pytest.raises(ValueError):
-        delta_table_brute(f, -1)
-
-
-def test_delta_table_past_the_recursion_limit():
-    """Each table folds the cached one below it, without recursing m levels deep."""
-    m = sys.getrecursionlimit() + 100
-    assert sum(delta_table(Field(1), m)) == 2**m
-
-
-def test_cold_delta_table_makes_linearly_many_lookups():
-    m = 5000
-    delta_table.cache_clear()
-    try:
-        total = sum(delta_table(Field(1), m))
-        assert delta_table.cache_info().hits < 3 * m
-        assert total == 2**m
-    finally:
-        delta_table.cache_clear()
-
-
-def test_delta_rejects_beta_outside_the_field():
-    f = Field(2)
-    assert delta(f, 1, 8) == delta_table(f, 1)[8]
-    for bad in (-1, 9):
-        with pytest.raises(ValueError, match="beta"):
-            delta(f, 1, bad)
+    assert sum(delta_table(f, 4)) == 2**4
+    for table in (delta_table, delta_table_brute):
+        with pytest.raises(UnsupportedScaleError, match="m <= 4"):
+            table(f, 5)
+        with pytest.raises(ValueError):
+            table(f, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,10 @@ def test_public_names_resolve():
     ("klc.groups", "q_binomial"), ("klc.groups", "coset_count"),
     ("klc.charsums", "a_r_closed_form"), ("klc.charsums", "a_r_sum"),
     ("klc.eisenstein.CycInt", "to_json"), ("klc.eisenstein.CycInt", "from_json"),
+    ("klc.charsums", "delta"), ("klc.charsums", "kloosterman"),
+    ("klc.charsums", "_DELTA_BLOCK"), ("klc.codes", "code_dimension"),
+    ("klc.eisenstein", "zeta_pow"), ("klc.field.Field", "coeffs"),
+    ("klc.field.Field", "from_coeffs"),
 ])
 def test_unreached_functions_are_gone(module, name):
     """Functions that no command, battery row or other library function

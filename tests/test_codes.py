@@ -7,7 +7,6 @@ import pytest
 
 import klc.codes as codes
 from klc.codes import (
-    code_dimension,
     code_length,
     dual_codeword,
     dual_spectrum,
@@ -32,8 +31,8 @@ def test_lengths_and_dimensions():
     assert code_length(3, "so3") == 24
     assert code_length(3, "o3") == 48
     assert code_length(9, "sp2") == 720
-    assert code_dimension(f3, "so3") == 23
-    assert code_dimension(f9, "o3") == 1440 - 2
+    assert code_length(f3.q, "so3") - f3.r == 23  # the dimension, N - r
+    assert code_length(f9.q, "o3") - f9.r == 1440 - 2
     with pytest.raises(ValueError):
         code_length(3, "u3")
 

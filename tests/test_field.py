@@ -47,7 +47,7 @@ def test_bad_configurations():
 def test_explicit_modulus_accepted():
     f = Field(2, (2, 1, 1))  # t^2 + t + 2, the other kind of irreducible
     assert f.q == 9
-    assert f.mul(3, 3) == f.from_coeffs((1, 2))  # t^2 = -t - 2 = 2t + 1
+    assert f.mul(3, 3) == 1 + 2 * 3  # t^2 = -t - 2 = 2t + 1
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +197,26 @@ def test_split_add_matches_digit_sums(r, second):
         assert f.add(x, y) == f._add_slow(x, y)
 
 
+@pytest.mark.parametrize("r", [7, 8])
+@pytest.mark.parametrize("second", [False, True])
+def test_row_view_matches_digit_sums(r, second):
+    """Above q = 729 row x of the addition-table view adds x through the
+    split table; a sample of rows and entries against the digit sums."""
+    f = Field(r, _second_modulus(r) if second else None)
+    q, split = f.q, 3 ** ((r + 1) // 2)
+    rng = Random(r + 10 * second)
+    for x in (0, 1, split - 1, split, q - 1, *(rng.randrange(q) for _ in range(20))):
+        row = f._rows[x]
+        for y in (0, 1, split - 1, split, q - 1, *(rng.randrange(q) for _ in range(1000))):
+            assert row[y] == f._add_slow(x, y)
+
+
+@pytest.mark.parametrize("r", [1, 6])
+def test_rows_are_the_full_table_up_to_729(r):
+    f = Field(r)
+    assert f._rows is f._add_table
+
+
 def test_add_above_729_reads_the_split_table(monkeypatch):
     f = Field(7)
     calls = 0
@@ -225,8 +245,7 @@ def test_gf3_tables():
 
 def test_gf9_basis_element():
     f = Field(2)
-    t = f.from_coeffs((0, 1))
-    assert t == 3
+    t = 3  # the digits (0, 1)
     assert f.mul(t, t) == 2  # t^2 = -1
     assert f.mul(t, f.inv(t)) == 1
 
@@ -357,9 +376,12 @@ def test_minus_one_square_iff_q_1_mod_4():
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_coeff_round_trip(r):
+    """Each element is the base-3 number of its r digits, least significant first."""
     f = Field(r)
     for x in f.elements():
-        assert f.from_coeffs(f.coeffs(x)) == x
+        digits = field_module._digits(x, r)
+        assert len(digits) == r and set(digits) <= {0, 1, 2}
+        assert sum(c * 3**k for k, c in enumerate(digits)) == x
 
 
 def test_field_identity_semantics():

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 import klc.cli as cli
 from klc import groups
-from klc.charsums import kloosterman
+from klc.charsums import kloosterman_all
 from klc.eisenstein import CycInt, additive_char
 from klc.errors import UnsupportedScaleError, VerificationError
 from klc.field import Field
@@ -208,6 +208,36 @@ def test_enumeration_multiplies_no_matrices(monkeypatch):
     assert not calls
 
 
+def test_enumeration_and_spectrum_call_no_field_addition(monkeypatch):
+    """Writing out the cells, checking every element and histogramming the
+    traces read the addition table's rows: not one Field.add or Field.sub
+    call, where mat_mul, the oracle, still makes them."""
+    f = Field(2)
+    calls = []
+
+    def counting(name):
+        original = getattr(Field, name)
+
+        def method(self, x, y):
+            calls.append(name)
+            return original(self, x, y)
+        return method
+
+    for name in ("add", "sub"):
+        monkeypatch.setattr(Field, name, counting(name))
+    enumerate_group.cache_clear()
+    trace_spectrum.cache_clear()
+    try:
+        for gid in GROUPS:
+            assert sum(trace_spectrum(f, gid)) == group_order(f.q, gid)
+    finally:
+        enumerate_group.cache_clear()
+        trace_spectrum.cache_clear()
+    assert not calls
+    mat_mul(f, _ID2, _ID2)
+    assert calls
+
+
 @pytest.mark.parametrize("gid", GROUPS)
 def test_iter_group_is_the_one_validation_site(gid, monkeypatch):
     """An element the predicate rejects is a construction bug in every group,
@@ -319,6 +349,80 @@ def test_is_orthogonal_matches_the_definition_near_the_group(r, modulus):
         assert is_orthogonal(f, w) == _orthogonal_by_definition(f, w), w
 
 
+_JHAT = ((0, 1), (2, 0))  # [[0, 1], [-1, 0]]; -1 is encoded as 2
+
+
+def _symplectic_by_definition(field, w):
+    """w^T Jhat w == Jhat by matrix products: the oracle for is_symplectic."""
+    return mat_mul(field, mat_mul(field, tuple(zip(*w)), _JHAT), w) == _JHAT
+
+
+def _trace_by_definition(field, w):
+    """The diagonal summed by Field.add: the oracle for mat_trace."""
+    acc = 0
+    for i in range(len(w)):
+        acc = field.add(acc, w[i][i])
+    return acc
+
+
+def _near_the_group(field, elems, n, seed):
+    """n seeded elements, each followed by a copy with one entry changed."""
+    rng = Random(seed)
+    for _ in range(n):
+        w = elems[rng.randrange(len(elems))]
+        yield w
+        rows = [list(row) for row in w]
+        i, j = rng.randrange(len(w)), rng.randrange(len(w))
+        rows[i][j] = (rows[i][j] + rng.randrange(1, field.q)) % field.q
+        yield tuple(map(tuple, rows))
+
+
+def _check_against_the_definitions(field, w):
+    """The table-read trace, determinant and membership predicates of w
+    against their oracles through Field.add and Field.mul."""
+    det = _det_by_cofactors(field, w)
+    assert mat_trace(field, w) == _trace_by_definition(field, w), w
+    assert mat_det(field, w) == det, w
+    if len(w) == 2:
+        assert is_symplectic(field, w) == _symplectic_by_definition(field, w), w
+    else:
+        orthogonal = _orthogonal_by_definition(field, w)
+        assert is_orthogonal(field, w) == orthogonal, w
+        assert is_special_orthogonal(field, w) == (orthogonal and det == 1), w
+
+
+@pytest.mark.parametrize("gid", GROUPS)
+@pytest.mark.parametrize("r, modulus", [(1, None), (1, [1, 1]), (2, None), (2, [2, 1, 1]),
+                                        (3, None), (3, [1, 0, 2, 1])],
+                         ids=["r1", "r1-11", "r2", "r2-211", "r3", "r3-1021"])
+def test_table_reads_match_the_definitions(r, modulus, gid):
+    """Seeded elements and one-entry perturbations get the oracles' trace,
+    determinant and verdicts, and the trace histogram is the per-element
+    trace summed through Field.add."""
+    f = Field(r, modulus)
+    elems = enumerate_group(f, gid)
+    for w in _near_the_group(f, elems, 500, r):
+        _check_against_the_definitions(f, w)
+    counts = [0] * f.q
+    for w in elems:
+        counts[_trace_by_definition(f, w)] += 1
+    assert trace_spectrum(f, gid) == tuple(counts)
+
+
+@pytest.mark.parametrize("gid", GROUPS)
+@pytest.mark.parametrize("r, modulus", [(7, None), (7, [1, 2, 1, 0, 0, 0, 0, 1]),
+                                        (8, None), (8, [2, 0, 2, 0, 0, 0, 0, 0, 1])],
+                         ids=["r7", "r7-12100001", "r8", "r8-202000001"])
+def test_table_reads_match_the_definitions_above_729(r, modulus, gid):
+    """Above q = 729 the rows are a view through the split table: the first
+    streamed elements and one-entry perturbations of them get the oracles'
+    trace, determinant and verdicts."""
+    f = Field(r, modulus)
+    head = list(islice(iter_group(f, gid), 100))
+    for w in _near_the_group(f, head, 300, r):
+        _check_against_the_definitions(f, w)
+
+
 @pytest.mark.parametrize("gid", GROUPS)
 def test_closure_under_products(gid):
     for r in (1, 2):
@@ -403,7 +507,7 @@ def test_gauss_sum_closed_form(r, gid):
         if gid == "o3":
             assert rep.closed.is_real()
         if gid == "sp2":
-            assert rep.closed == CycInt(f.q * kloosterman(f, f.mul(a, a)), 0)
+            assert rep.closed == CycInt(f.q * kloosterman_all(f)[f.mul(a, a)], 0)
 
 
 def test_gauss_sum_rejects_zero():
