@@ -42,6 +42,7 @@ FAMILIES = ("MK", "SK", "T0SK", "T12SK")
 
 _DELTA_MAX_M = 4
 _SALIE_MAX_H = 4
+_SALIE_MAX_TUPLES = 5 * 10**7  # (q-1)^(hmax-1) tuples enumerated by _salie_m
 _PROP_E_MAX_M = 4
 
 
@@ -295,9 +296,15 @@ def salie_check(field: Field, hmax: int) -> list[SalieReport]:
 
     The recurrence MK^h = q^2 M_(h-1) - (q-1)^(h-1) + 2(-1)^(h-1) is stated
     for prime q; the CLI checks it at every q and exits 1 on an unequal row.
+    M_(h-1) enumerates (q-1)^(h-1) unit tuples, so (q-1)^(hmax-1) is bounded
+    before anything is computed.
     """
     if not 1 <= hmax <= _SALIE_MAX_H:
         raise UnsupportedScaleError(f"salie check bounded at hmax <= {_SALIE_MAX_H}, got {hmax}")
+    tuples = (field.q - 1) ** (hmax - 1)
+    if tuples > _SALIE_MAX_TUPLES:
+        raise UnsupportedScaleError(f"salie check bounded at (q-1)^(hmax-1) <= "
+                                    f"{_SALIE_MAX_TUPLES} tuples, got {tuples}")
     mt = moment_table(field, hmax)
     q = field.q
     out = []

@@ -29,8 +29,8 @@ from .codes import (dual_spectrum, pless_check, weight_distribution_dp,
                     weight_distribution_macwilliams)
 from .errors import UnsupportedScaleError, VerificationError
 from .field import _MAX_R, Field
-from .groups import (GROUPS, brute_force_group, check_gauss_sum, check_trace_spectrum,
-                     enumerate_group, group_order)
+from .groups import (GROUPS, brute_force_group, enumerate_group, gauss_sum_closed,
+                     gauss_sum_enumerated, group_order, trace_spectrum, trace_spectrum_closed)
 from .moments import _MAX_HMAX, corollary_n, theorem_a1, theorem_a2, theorem_l
 
 _FLAG_KEYS = ("equal", "pass")
@@ -171,12 +171,13 @@ def group_enumerate(field, seed, gid, oracle):
 @leaf(group_cmd, "spectrum", _GROUP)
 def group_spectrum(field, seed, gid):
     """Trace spectrum by enumeration, checked against the closed forms."""
-    rep = check_trace_spectrum(field, gid)
-    rows = [{"gid": gid, "q": rep.q, "beta": beta, "enumerated": n,
-             "closed": rep.closed[beta], "equal": n == rep.closed[beta]}
-            for beta, n in enumerate(rep.enumerated)]
-    rows.append({"gid": gid, "q": rep.q, "all_positive": rep.all_positive,
-                 "pass": rep.equal and rep.all_positive})
+    enumerated = trace_spectrum(field, gid)
+    closed = trace_spectrum_closed(field, gid)
+    rows = [{"gid": gid, "q": field.q, "beta": beta, "enumerated": n, "closed": c,
+             "equal": n == c} for beta, (n, c) in enumerate(zip(enumerated, closed))]
+    all_positive = min(enumerated) > 0
+    rows.append({"gid": gid, "q": field.q, "all_positive": all_positive,
+                 "pass": enumerated == closed and all_positive})
     return rows
 
 
@@ -184,11 +185,12 @@ def group_spectrum(field, seed, gid):
       click.option("--a", "a_enc", type=int, required=True, help="Unit a as an enc integer."))
 def group_gauss(field, seed, gid, a_enc):
     """The exponential sum sum_w lambda(a Tr w), two ways."""
-    rep = check_gauss_sum(field, gid, a_enc)
-    return [{"gid": gid, "q": rep.q, "a": rep.a,
-             "spectrum_a": str(rep.from_spectrum.a), "spectrum_b": str(rep.from_spectrum.b),
-             "closed_a": str(rep.closed.a), "closed_b": str(rep.closed.b),
-             "equal": rep.equal}]
+    closed = gauss_sum_closed(field, gid, a_enc)  # rejects a non-unit a
+    spectrum = gauss_sum_enumerated(field, gid, a_enc)
+    return [{"gid": gid, "q": field.q, "a": a_enc,
+             "spectrum_a": str(spectrum.a), "spectrum_b": str(spectrum.b),
+             "closed_a": str(closed.a), "closed_b": str(closed.b),
+             "equal": spectrum == closed}]
 
 
 @leaf(code_cmd, "dual-spectrum", _CODE)

@@ -48,21 +48,14 @@ from math import comb, factorial
 from .eisenstein import CycInt
 from .errors import UnsupportedScaleError, VerificationError
 from .field import Field, _pack, _unpack
-from .groups import (GROUPS, enumerate_group, gauss_sum_closed, gauss_sum_enumerated,
+from .groups import (_check_gid, enumerate_group, gauss_sum_closed, gauss_sum_enumerated,
                      group_order, mat_trace, trace_spectrum_closed)
 
 _FULL_SPECTRUM_MAX_N = 2000
 
 
-def _check_tag(tag: str) -> str:
-    t = tag.lower()
-    if t not in GROUPS:
-        raise ValueError(f"unknown code {tag!r}; expected one of {GROUPS}")
-    return t
-
-
 def code_length(q: int, tag: str) -> int:
-    return group_order(q, _check_tag(tag))
+    return group_order(q, tag)
 
 
 def _full_length(q: int, tag: str) -> int:
@@ -78,7 +71,7 @@ def _full_length(q: int, tag: str) -> int:
 
 def dual_codeword(field: Field, tag: str, a: int) -> tuple[int, ...]:
     """The word c(a) = (tr(a Tr g_1), ..., tr(a Tr g_N)) over GF(3)."""
-    tag = _check_tag(tag)
+    tag = _check_gid(tag)
     if not 0 <= a < field.q:
         raise ValueError(f"a must be an element of GF({field.q}), got {a}")
     mul, tr = field.mul, field.trace
@@ -98,7 +91,7 @@ def _weight(field: Field, tag: str, a: int, g: CycInt) -> int:
 def dual_weights(field: Field, tag: str) -> tuple[int, ...]:
     """Hamming weight of c(a) for every a, from G(a) over the enumerated trace
     spectrum (groups.gauss_sum_enumerated); G(0) = N gives w(0) = 0."""
-    tag = _check_tag(tag)
+    tag = _check_gid(tag)
     return tuple(_weight(field, tag, a, gauss_sum_enumerated(field, tag, a))
                  for a in field.elements())
 
@@ -109,7 +102,7 @@ def dual_weight_formula(field: Field, tag: str, a: int) -> int:
 
         w(c(a)) = (q i / 3) * (2 (q^2 - 1) - 2Re(lambda(a)) K(a^2))
     """
-    tag = _check_tag(tag)
+    tag = _check_gid(tag)
     if tag == "sp2":
         raise ValueError("closed-form dual weight is defined for the so3 and o3 codes")
     return _weight(field, tag, a, gauss_sum_closed(field, tag, a))
@@ -242,7 +235,7 @@ def weight_distribution_dp(field: Field, tag: str,
     Untruncated runs are bounded to N <= 2000; pass truncate_at=J for the
     exact counts C_0..C_J at any supported q.
     """
-    tag = _check_tag(tag)
+    tag = _check_gid(tag)
     if truncate_at is None:
         cap = _full_length(field.q, tag)
     else:
@@ -313,7 +306,7 @@ def weight_distribution_macwilliams(field: Field, tag: str) -> WeightDistributio
     that is C_j = (1/q) sum_x A_x K_j(x) over the dual weight counts A_x.
     The division by q must come out exact; anything else is an error.
     """
-    tag = _check_tag(tag)
+    tag = _check_gid(tag)
     n_total = _full_length(field.q, tag)
     total = [0] * (n_total + 1)
     for x, a_x in dual_spectrum(field, tag).items():
@@ -353,7 +346,7 @@ def pless_check(field: Field, tag: str, h: int,
     be an integer.  The left side uses a full weight distribution (computed
     here via MacWilliams when not supplied).
     """
-    tag = _check_tag(tag)
+    tag = _check_gid(tag)
     if h < 0:
         raise ValueError(f"h must be nonnegative, got {h}")
     n_total = code_length(field.q, tag)

@@ -64,7 +64,6 @@ Field.mul; it and the digit-sum adder _add_slow are the oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from random import Random
@@ -335,29 +334,6 @@ def trace_spectrum_closed(field: Field, gid: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    gid: str
-    q: int
-    enumerated: tuple[int, ...]
-    closed: tuple[int, ...]
-    equal: bool
-    all_positive: bool
-
-
-def check_trace_spectrum(field: Field, gid: str) -> SpectrumReport:
-    enum = trace_spectrum(field, gid)
-    closed = trace_spectrum_closed(field, gid)
-    return SpectrumReport(
-        gid=_check_gid(gid),
-        q=field.q,
-        enumerated=enum,
-        closed=closed,
-        equal=enum == closed,
-        all_positive=all(n > 0 for n in enum),
-    )
-
-
 # ---------------------------------------------------------------------------
 # exponential sums over the groups
 
@@ -391,28 +367,6 @@ def gauss_sum_closed(field: Field, gid: str, a: int) -> CycInt:
     if not val.is_real():
         raise VerificationError(f"O(3,q) exponential sum not real at q={field.q}, a={a}")
     return val
-
-
-@dataclass(frozen=True)
-class GaussReport:
-    gid: str
-    q: int
-    a: int
-    from_spectrum: CycInt
-    closed: CycInt
-    equal: bool
-
-
-def check_gauss_sum(field: Field, gid: str, a: int) -> GaussReport:
-    """sum_w lambda(a Tr w) from the enumerated trace spectrum, against the
-    closed form."""
-    gid = _check_gid(gid)
-    if not 1 <= a < field.q:
-        raise ValueError(f"a must be a unit of GF({field.q}), got {a}")
-    spec_val = gauss_sum_enumerated(field, gid, a)
-    closed = gauss_sum_closed(field, gid, a)
-    return GaussReport(gid=gid, q=field.q, a=a,
-                       from_spectrum=spec_val, closed=closed, equal=spec_val == closed)
 
 
 def closure_spot_check(field: Field, gid: str, pairs: int = 100, seed: int = 0) -> bool:

@@ -36,10 +36,12 @@ from klc.eisenstein import CycInt
 from klc.groups import (
     GROUPS,
     brute_force_group,
-    check_gauss_sum,
-    check_trace_spectrum,
     enumerate_group,
+    gauss_sum_closed,
+    gauss_sum_enumerated,
     mat_det,
+    trace_spectrum,
+    trace_spectrum_closed,
 )
 from klc.moments import corollary_n, theorem_a1, theorem_a2, theorem_l
 
@@ -100,12 +102,12 @@ def test_criterion_05_group_exponential_sums(f3, f9, f27):
     for f in (f3, f9, f27):
         for gid in ("so3", "o3"):
             for a in f.units():
-                rep = check_gauss_sum(f, gid, a)
-                ok = ok and rep.equal
+                closed = gauss_sum_closed(f, gid, a)
+                ok = ok and gauss_sum_enumerated(f, gid, a) == closed
                 if gid == "o3":
-                    ok = ok and rep.closed.is_real()
-    ok = ok and check_gauss_sum(f3, "so3", 1).closed == CycInt(0, -3)
-    ok = ok and check_gauss_sum(f3, "o3", 1).closed == CycInt(3, 0)
+                    ok = ok and closed.is_real()
+    ok = ok and gauss_sum_closed(f3, "so3", 1) == CycInt(0, -3)
+    ok = ok and gauss_sum_closed(f3, "o3", 1) == CycInt(3, 0)
     _verdict(5, "exponential sums equal closed forms, o3 values real", ok)
 
 
@@ -113,10 +115,11 @@ def test_criterion_06_trace_spectra(f3, f9, f27):
     ok = True
     for f in (f3, f9, f27):
         for gid in GROUPS:
-            rep = check_trace_spectrum(f, gid)
-            ok = ok and rep.equal and rep.all_positive
-    ok = ok and check_trace_spectrum(f3, "so3").enumerated == (9, 6, 9)
-    ok = ok and check_trace_spectrum(f3, "o3").enumerated == (18, 15, 15)
+            enumerated = trace_spectrum(f, gid)
+            ok = ok and enumerated == trace_spectrum_closed(f, gid)
+            ok = ok and all(n > 0 for n in enumerated)
+    ok = ok and trace_spectrum(f3, "so3") == (9, 6, 9)
+    ok = ok and trace_spectrum(f3, "o3") == (18, 15, 15)
     _verdict(6, "trace spectra match closed forms, all positive", ok)
 
 

@@ -29,8 +29,8 @@ BREAKS = {
     ("theorem-a1",): "theorem_a1",
     ("theorem-a2",): "theorem_a2",
     ("theorem-l",): "theorem_l",
-    ("gauss-sums",): "check_gauss_sum",
-    ("trace-spectra",): "check_trace_spectrum",
+    ("gauss-sums",): "gauss_sum_closed",
+    ("trace-spectra",): "trace_spectrum_closed",
     ("enumeration",): "enumerate_group",
     ("weight-distributions", "pless"): "weight_distribution_dp",
     ("prop-e",): "prop_e_check",

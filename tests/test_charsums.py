@@ -287,6 +287,8 @@ def test_salie_values_at_q9_frozen():
 def test_salie_guard():
     with pytest.raises(UnsupportedScaleError):
         salie_check(Field(1), 5)
+    with pytest.raises(UnsupportedScaleError, match="tuples"):
+        salie_check(Field(6), 4)  # 728^3 unit tuples
 
 
 @pytest.mark.parametrize("r", [1, 2])

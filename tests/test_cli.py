@@ -105,6 +105,18 @@ def test_salie_passes_at_q3_and_q9(runner):
         assert all(row["equal"] for row in _rows(result)[1:])
 
 
+def test_salie_refuses_large_q(runner):
+    """(q-1)^(hmax-1) = 728^3 unit tuples is refused before any is counted."""
+    t0 = time.perf_counter()
+    result = runner.invoke(cli.main, ["charsums", "salie", "--hmax", "4",
+                                      "--q-exponent", "6"])
+    assert time.perf_counter() - t0 < 10.0
+    assert result.exit_code == 2
+    assert [ln for ln in result.output.splitlines() if ln.startswith("Error:")] == [
+        "Error: salie check bounded at (q-1)^(hmax-1) <= 50000000 tuples, got 385828352"]
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_prop_e_rows(runner):
     result = runner.invoke(cli.main, ["charsums", "prop-e", "--mmax", "2"])
     assert result.exit_code == 0
@@ -307,7 +319,9 @@ def test_public_names_resolve():
     ("klc.charsums", "delta"), ("klc.charsums", "kloosterman"),
     ("klc.charsums", "_DELTA_BLOCK"), ("klc.codes", "code_dimension"),
     ("klc.eisenstein", "zeta_pow"), ("klc.field.Field", "coeffs"),
-    ("klc.field.Field", "from_coeffs"),
+    ("klc.field.Field", "from_coeffs"), ("klc.groups", "check_trace_spectrum"),
+    ("klc.groups", "check_gauss_sum"), ("klc.groups", "SpectrumReport"),
+    ("klc.groups", "GaussReport"), ("klc.codes", "_check_tag"),
 ])
 def test_unreached_functions_are_gone(module, name):
     """Functions that no command, battery row or other library function
@@ -464,7 +478,9 @@ def test_leaf_commands_exit_codes_optimized():
 # SHA-256 of each call's stdout, JSON header line dropped (CSV is hashed
 # whole): every leaf command at r = 1, one CSV call and one non-default
 # modulus.  Recorded by running these calls through CliRunner at commit
-# eb55144, before the commands shared one leaf runner; a digest moves only
+# eb55144, before the commands shared one leaf runner; the group spectrum
+# and gauss calls at r = 2 were recorded the same way at commit 018dffa,
+# before those commands called both routes directly.  A digest moves only
 # when an emitted row does.
 CONTRACT_DIGESTS = {
     "charsums moments --hmax 1":
@@ -499,6 +515,16 @@ CONTRACT_DIGESTS = {
         "ad26663557b13fdb9b18ff2e8024bbf9a756d36277037e0dfbcef52798cb2874",
     "verify theorem-a2 --hmax 4 --q-exponent 2 --modulus 2,1,1":
         "35ddb8702952b5995796aaf2f59925af7406b1dcb2b6f3787c5e8c73b190b3e7",
+    "group spectrum --group o3 --q-exponent 2":
+        "35681e2bf6eb5489c8a9eeef190767184ba0806136e3e6efd3fa3c228132c434",
+    "group spectrum --group sp2 --q-exponent 2":
+        "63e7a17b2fa701173e61be59e6da5798158a6890a40fc22f7e9bd2330b78a232",
+    "group gauss --group o3 --a 5 --q-exponent 2":
+        "c749506a036c73e940ff010fa327dec83e0e4a93b1b56749fd20e635fb81c9bb",
+    "group gauss --group sp2 --a 5 --q-exponent 2":
+        "b948e94926419ac2158eff9341d52dac27c83f2cd059d8ff8af67ad926c4d374",
+    "group spectrum --group o3 --q-exponent 2 --modulus 2,1,1":
+        "81231e2ce954fcbfa9b0eb2a519c0bc048e407738401cb9e6fdb7f0a3ce57a13",
 }
 
 # The Error: line of each usage-error call in LEAF_TABLE, in table order,
