@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 import click
 
 from .battery import battery_rows
-from .charsums import _PROP_E_MAX_M, _SALIE_MAX_H, moment_table, prop_e_check, salie_check
+from .charsums import _DELTA_MAX_M, _SALIE_MAX_H, moment_table, prop_e_check, salie_check
 from .codes import (dual_spectrum, pless_check, weight_distribution_dp,
                     weight_distribution_macwilliams)
 from .errors import UnsupportedScaleError, VerificationError
@@ -142,7 +142,7 @@ def charsums_salie(field, seed, hmax):
 
 
 @leaf(charsums_cmd, "prop-e",
-      click.option("--mmax", type=click.IntRange(0, _PROP_E_MAX_M), default=4, show_default=True))
+      click.option("--mmax", type=click.IntRange(0, _DELTA_MAX_M), default=4, show_default=True))
 def charsums_prop_e(field, seed, mmax):
     """Check the twisted moment identity against the tuple counts delta."""
     return [{"q": x.q, "m": x.m, "beta": x.beta, "lhs": str(x.lhs), "rhs": str(x.rhs),

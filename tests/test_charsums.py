@@ -1,6 +1,9 @@
+from itertools import product
+
 import pytest
 
 from klc.charsums import (
+    _salie_m,
     delta_table,
     delta_table_brute,
     kloosterman_all,
@@ -33,8 +36,9 @@ def test_kloosterman_q3_values():
 def test_kloosterman_rejects_non_units():
     f = Field(2)
     for bad in (0, 9, -1):
-        with pytest.raises(ValueError):
-            kloosterman_gl(f, 1, bad)
+        for t in (0, 1):
+            with pytest.raises(ValueError):
+                kloosterman_gl(f, t, bad)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -269,6 +273,24 @@ def test_delta_past_the_brute_force_bound():
 # reported identities
 
 
+def _salie_m_brute(field, k):
+    """Oracle for _salie_m: enumerate all (q-1)^k unit tuples."""
+    count = 0
+    for tup in product(field.units(), repeat=k):
+        s = t = 0
+        for v in tup:
+            s, t = field.add(s, v), field.add(t, field.inv(v))
+        count += s == 1 and t == 1
+    return count
+
+
+@pytest.mark.parametrize("modulus", ["default", "other"])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_salie_pair_count_matches_enumeration(r, modulus):
+    f = Field(r, OTHER_MODULUS[r] if modulus == "other" else None)
+    assert [_salie_m(f, k) for k in range(4)] == [_salie_m_brute(f, k) for k in range(4)]
+
+
 def test_salie_holds_at_prime_q():
     reports = salie_check(Field(1), 4)
     assert [rep.h for rep in reports] == [1, 2, 3, 4]
@@ -277,8 +299,8 @@ def test_salie_holds_at_prime_q():
 
 
 def test_salie_values_at_q9_frozen():
-    """The recurrence is stated for prime q; at q = 9 both sides still agree.
-    Freeze the values so any drift in the enumeration is caught."""
+    """The recurrence holds at every q, q = 9 included.  Freeze the values so
+    any drift in the pair count of M_(h-1) or in the moment table is caught."""
     reports = salie_check(Field(2), 4)
     assert [rep.lhs for rep in reports] == [1, 71, 19, 1187]
     assert all(rep.equal for rep in reports)
@@ -287,8 +309,6 @@ def test_salie_values_at_q9_frozen():
 def test_salie_guard():
     with pytest.raises(UnsupportedScaleError):
         salie_check(Field(1), 5)
-    with pytest.raises(UnsupportedScaleError, match="tuples"):
-        salie_check(Field(6), 4)  # 728^3 unit tuples
 
 
 @pytest.mark.parametrize("r", [1, 2])

@@ -105,16 +105,18 @@ def test_salie_passes_at_q3_and_q9(runner):
         assert all(row["equal"] for row in _rows(result)[1:])
 
 
-def test_salie_refuses_large_q(runner):
-    """(q-1)^(hmax-1) = 728^3 unit tuples is refused before any is counted."""
-    t0 = time.perf_counter()
-    result = runner.invoke(cli.main, ["charsums", "salie", "--hmax", "4",
-                                      "--q-exponent", "6"])
-    assert time.perf_counter() - t0 < 10.0
-    assert result.exit_code == 2
-    assert [ln for ln in result.output.splitlines() if ln.startswith("Error:")] == [
-        "Error: salie check bounded at (q-1)^(hmax-1) <= 50000000 tuples, got 385828352"]
-    assert isinstance(result.exception, SystemExit)
+def test_salie_at_q6561(runner):
+    """M_(h-1) is a pair count over at most q - 1 units, so q = 3^8 runs at
+    --hmax 3 and 4 well inside the budget, every row equal."""
+    for hmax in ("3", "4"):
+        t0 = time.perf_counter()
+        result = runner.invoke(cli.main, ["charsums", "salie", "--hmax", hmax,
+                                          "--q-exponent", "8"])
+        assert time.perf_counter() - t0 < 10.0
+        assert result.exit_code == 0
+        body = _rows(result)[1:]
+        assert [row["h"] for row in body] == list(range(1, int(hmax) + 1))
+        assert all(row["equal"] for row in body)
 
 
 def test_prop_e_rows(runner):
@@ -322,6 +324,7 @@ def test_public_names_resolve():
     ("klc.field.Field", "from_coeffs"), ("klc.groups", "check_trace_spectrum"),
     ("klc.groups", "check_gauss_sum"), ("klc.groups", "SpectrumReport"),
     ("klc.groups", "GaussReport"), ("klc.codes", "_check_tag"),
+    ("klc.charsums", "_SALIE_MAX_TUPLES"),
 ])
 def test_unreached_functions_are_gone(module, name):
     """Functions that no command, battery row or other library function

@@ -477,11 +477,21 @@ def test_closed_spectrum_matches_enumeration(r, gid):
     assert sum(enumerated) == group_order(f.q, gid)
 
 
-def test_closed_spectrum_needs_no_enumeration():
-    # the closed form stays available past the materialization cap
-    f = Field(4)
-    spec = trace_spectrum_closed(f, "so3")
-    assert sum(spec) == group_order(81, "so3")
+@pytest.mark.parametrize("r,modulus", [(r, None) for r in range(1, 9)]
+                         + [(3, (1, 0, 2, 1)), (7, (1, 2, 1, 0, 0, 0, 0, 1))],
+                         ids=[f"r{r}" for r in range(1, 9)] + ["r3-1021", "r7-12100001"])
+def test_closed_spectra_above_enumeration_bound(r, modulus):
+    """The closed spectra stay available past the materialization cap (q = 27):
+    each sums to the group order with every trace hit, and
+    N_o3(beta) = N_so3(beta) + N_so3(-beta) since O(3, q) = SO(3, q) x {+-I}
+    and Tr(-w) = -Tr w."""
+    f = Field(r, modulus)
+    spec = {gid: trace_spectrum_closed(f, gid) for gid in GROUPS}
+    for gid, counts in spec.items():
+        assert sum(counts) == group_order(f.q, gid)
+        assert min(counts) > 0
+    so3 = spec["so3"]
+    assert spec["o3"] == tuple(so3[b] + so3[f.neg(b)] for b in f.elements())
 
 
 # ---------------------------------------------------------------------------
