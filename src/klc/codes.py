@@ -17,14 +17,18 @@ routes and must agree coefficient by coefficient:
     moves the sum, and the per-beta transition rows for the three residues
     have closed forms, the two nonzero residues sharing one row.  The DP
     is folded by +-: flipping 1 <-> 2 merges the classes beta and -beta,
-    the state keeps one column per pair {s, -s} since it stays symmetric,
-    and each class computes only the columns a later class reads: the
-    classes 3^(r-1), ..., 3, 1 and then 0 come last, and class 3^k computes
-    the pairs below 3^k, class 0 column 0 alone.  Each column
-    is one int with its weights in fixed-width byte slots (Kronecker
-    substitution), so a pull is two exact int products; an entry of weight
-    j over m positions counts some of the C(m, j) 2^j words of weight j,
-    and the slots are sized by that bound, so none carries;
+    and the state keeps one column per pair {s, -s} since it stays
+    symmetric.  The classes run in levels k = r, ..., 1, level k holding
+    3^(k-1) <= beta < 3^k, and then 0; level k reads and writes only the
+    pairs below 3^k, a subspace, its last class 3^(k-1) writes only those
+    below 3^(k-1), and class 0 writes column 0 alone.  The classes of a
+    level that share a size share their rows, and pull at once through
+    prod_i (R_0 + R_1 E_i) = sum_w R_0^(k-w) R_1^w e_w(E): min(k, J) + 1
+    products per column, the e_w(E) built by additions.  Each column is
+    one int with its weights in fixed-width byte slots (Kronecker
+    substitution); an entry of weight j over m positions counts some of
+    the C(m, j) 2^j words of weight j, and the slots are sized by that
+    bound, so every masked value reads back exactly;
 
   * the MacWilliams transform of the q-word dual spectrum.  If c_s entries
     of c(a) equal s, the group's exponential sum is G(a) = c_0 + c_1 zeta +
@@ -193,6 +197,25 @@ def _slot_bytes(m: int, width: int) -> int:
     return ((comb(m, j) << j).bit_length() + 7) // 8
 
 
+def _dp_plan(field: Field, reps: list[int], counts_beta) -> list[tuple[int, list[int], int, int]]:
+    """The groups of the weight DP in pull order, each as (n, its classes,
+    the pairs it reads, the pairs it writes); see weight_distribution_dp."""
+    neg = field.neg
+    plan = []
+    for k in range(field.r, 0, -1):
+        low, top = (3 ** (k - 1) + 1) // 2, (3**k + 1) // 2
+        groups: dict[int, list[int]] = {}
+        for beta in reps[low:top]:
+            groups.setdefault(counts_beta[beta] + counts_beta[neg(beta)], []).append(beta)
+        # reps[low] = 3^(k-1) opens the level, so its group is the first one
+        # inserted; that group and 3^(k-1) within it go last
+        (n, betas), *rest = groups.items()
+        plan += [(size, group, top, top) for size, group in rest]
+        plan.append((n, betas[1:] + betas[:1], top, low))
+    plan.append((counts_beta[0], [0], 1, 1))
+    return plan
+
+
 def weight_distribution_dp(field: Field, tag: str,
                            truncate_at: int | None = None) -> WeightDistribution:
     """Weight distribution by the combinatorial dynamic program.
@@ -209,28 +232,51 @@ def weight_distribution_dp(field: Field, tag: str,
     one, and the start state[0] = 1 is such a state, so one column is kept
     per pair {s, -s}.
 
-    Each class computes only the columns a later class reads.  The classes
-    run in the order: every beta other than 0 and the powers of 3,
-    ascending; then 3^(r-1), ..., 9, 3, 1; then 0.  The encodings s < 3^k
-    are the GF(3)-span of 1, t, ..., t^(k-1), since the base-3 digits are
-    the polynomial-basis coordinates and addition is digit-wise mod 3
-    whatever the modulus; so they are closed under +-, and their pairs
-    are the first (3^k + 1) // 2 of reps.  Class 3^(k-1) writes columns
-    s < 3^(k-1) and reads s and s +- 3^(k-1), all below 3^k, so class 3^k
-    computes the pairs below 3^k.  Class 0 reads column s only to write
-    column s, and it computes column 0 alone, the one returned.  Every
-    other class computes all columns.  Class 0, the smallest class, goes
-    last so that every earlier width leaves out its n(0) positions.
+    Levels.  The encodings s < 3^k are H_k, the GF(3)-span of 1, t, ...,
+    t^(k-1), since the base-3 digits are the polynomial-basis coordinates
+    and addition is digit-wise mod 3 whatever the modulus; so H_k is closed
+    under +-, and its pairs are the first (3^k + 1) // 2 of reps.  The
+    classes run in levels k = r, ..., 1, level k holding the pairs with
+    3^(k-1) <= beta < 3^k; class 0 comes last.  Every class from level k on
+    lies in H_k, so column 0 at the end reads only the columns of H_k
+    before level k, and level k pulls only the pairs of H_k: it reads
+    s +- beta, both in H_k.  Its last class, 3^(k-1), writes only the pairs
+    of H_(k-1), and class 0 writes column 0 alone, the one returned.
+    Class 0, the smallest class, goes last so that every earlier width
+    leaves out its n(0) positions.
 
-    Each column is one int with its weights in fixed-width byte slots
-    (field._pack), so a pull is two int products, a sum and a mask that
-    drops the weights above the cap.  No slot carries into the next: over
-    the m positions pulled so far, an entry of weight j counts some of the
-    C(m, j) 2^j words of weight j, every term of a pull is nonnegative,
-    and for beta != 0 the columns s - beta and s + beta count disjoint
-    words.  The slots are as wide as the largest such bound up to the
-    current width, and the columns are repacked when that grows a byte.
-    Class 0 folds R_1 into its one row, since s - 0 == s + 0.
+    Groups.  The pulls are the commuting operators R_0 + R_1 E_beta, with
+    E_beta state[s] = state[s - beta] + state[s + beta], and classes of
+    one size n share R_0 and R_1.  So the k classes of a level that share
+    n pull at once by the expansion
+
+        prod_i (R_0 + R_1 E_i) = sum_w R_0^(k-w) R_1^w e_w(E_1, ..., E_k),
+
+    new[s] = sum_w T_w[s] P_w with P_w = R_0^(k-w) R_1^w mod y^(J+1) and
+    T_w = e_w(E) state, the signed w-subset shifts of the state.  R_1 has
+    no constant term, so P_w = 0 for w > J and w runs to min(k, J).  The
+    T_w take only additions: over the group's classes in turn,
+    T_w += E_i T_(w-1), w descending, and the last class, 3^(k-1) in the
+    last group of a level, writes only the pairs the group writes.  Class
+    0 is a group of its own: s - 0 == s + 0 makes E_0 = 2, so it folds R_1
+    into its one row R_0 + 2 R_1.  A group of n = 0 is the identity and is
+    skipped.
+
+    Slots.  Each column is one int with its weights in fixed-width byte
+    slots (field._pack): the value at y = B = 2^(8 nbytes) of its
+    polynomial.  Evaluation at B is a ring homomorphism, so sums and
+    products of packed ints are the values of the exact polynomials, and
+    a mask to the slots up to the width reads back the coefficients up to
+    the width of a polynomial whose coefficients are nonnegative, as all
+    of them here are, and below B up to the width.  Every masked value is
+    such a polynomial: a new state column, or a product of R_0s and R_1s
+    over at most kn positions, counts at each weight i some of the
+    C(m, i) 2^i words of weight i over the m positions pulled after the
+    group; the slots are as wide as the largest such bound up to the
+    width, and the columns are repacked when that grows a byte.  The T_w
+    are never masked or unpacked, so their slots need no bound: they may
+    carry into the slot above, and sum_w T_w P_w is still the value of
+    the exact new column.
 
     Untruncated runs are bounded to N <= 2000; pass truncate_at=J for the
     exact counts C_0..C_J at any supported q.
@@ -243,38 +289,51 @@ def weight_distribution_dp(field: Field, tag: str,
             raise ValueError(f"truncate_at must be nonnegative, got {truncate_at}")
         cap = min(truncate_at, code_length(field.q, tag))
 
-    add, neg = field.add, field.neg
+    neg, rows = field.neg, field._rows
     counts_beta = trace_spectrum_closed(field, tag)
     # reps[i] is the smaller of a pair {s, -s}; column i of the state holds both
     reps = [s for s in field.elements() if s <= neg(s)]
     col_of = [0] * field.q
     for i, s in enumerate(reps):
         col_of[s] = col_of[neg(s)] = i
-    # (beta, number of columns it computes) in class order; see the docstring
-    powers = [3**k for k in reversed(range(field.r))]
-    plan = ([(beta, len(reps)) for beta in reps[1:] if beta not in powers]
-            + [(beta, (beta + 1) // 2) for beta in powers] + [(0, 1)])
-    state = [0] * len(reps)
-    state[0] = 1
+    state = [1] + [0] * (len(reps) - 1)
     m = width = 0
     nbytes = 1
-    for beta, ncols in plan:
-        minus = neg(beta)
-        n = counts_beta[beta] + counts_beta[minus] if beta else counts_beta[0]
+    for n, betas, nin, nout in _dp_plan(field, reps, counts_beta):
+        if not n:
+            continue
         stay, move = _site_rows(n, cap)
-        if not beta:
-            stay, move = [x + 2 * y for x, y in zip(stay, move)], [0]
+        k, wmax = len(betas), min(len(betas), cap)
+        if not betas[0]:
+            stay, move, wmax = [x + 2 * y for x, y in zip(stay, move)], [0], 0
         seen = width + 1
-        m, width = m + n, min(cap, width + len(stay) - 1)
+        m, width = m + k * n, min(cap, width + k * (len(stay) - 1))
         grown = _slot_bytes(m, width)
         if grown > nbytes:
             state = [_pack(_unpack(col, seen, nbytes), grown) for col in state]
             nbytes = grown
         stay, move = _pack(stay, nbytes), _pack(move, nbytes)
         mask = (1 << (8 * nbytes * (width + 1))) - 1
-        state = [(state[i] * stay
-                  + (state[col_of[add(s, minus)]] + state[col_of[add(s, beta)]]) * move) & mask
-                 for i, s in enumerate(reps[:ncols])]
+        # products[w] = P_w = R_0^(k-w) R_1^w, terms[w] = T_w; see the docstring
+        powers = [1]
+        for _ in range(k):
+            powers.append(powers[-1] * stay & mask)
+        products, lift = [powers[k]], 1
+        for w in range(1, wmax + 1):
+            lift = lift * move & mask
+            products.append(powers[k - w] * lift & mask)
+        terms = [state] + [[0] * nin for _ in range(wmax)]
+        for i, beta in enumerate(betas, 1):
+            cols = reps[:nout if i == k else nin]
+            plus, minus = rows[beta], rows[neg(beta)]
+            lo, hi = [col_of[minus[s]] for s in cols], [col_of[plus[s]] for s in cols]
+            for w in range(min(i, wmax), 0, -1):
+                prev = terms[w - 1]
+                terms[w] = [t + prev[a] + prev[b] for t, a, b in zip(terms[w], lo, hi)]
+        new = [t * products[0] for t in state[:nout]]
+        for term, p in zip(terms[1:], products[1:]):
+            new = [x + t * p for x, t in zip(new, term)]
+        state = [x & mask for x in new]
     return WeightDistribution(code=tag, counts=tuple(_unpack(state[0], width + 1, nbytes)),
                               truncated_at=truncate_at)
 

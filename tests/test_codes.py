@@ -234,9 +234,10 @@ def _conv_acc(target, col, poly, cap):
 
 
 def _dp_unfolded(field, tag, cap):
-    """The DP over all q classes and all q columns, with no symmetry used."""
+    """The DP over all q classes and all q columns, with no symmetry used.
+    It reads the spectrum through codes, so a patched spectrum feeds both."""
     q, add = field.q, field.add
-    counts_beta = trace_spectrum_closed(field, tag)
+    counts_beta = codes.trace_spectrum_closed(field, tag)
     state = [[0] for _ in range(q)]
     state[0][0] = 1
     width = 0
@@ -267,13 +268,72 @@ def test_dp_matches_the_unfolded_dp(r, modulus, cap, tag):
     assert counts == _dp_unfolded(f, tag, code_length(f.q, tag) if cap is None else cap)
 
 
+@pytest.mark.parametrize("tag", ["so3", "sp2"])
+@pytest.mark.parametrize("modulus", [None, (1, 0, 0, 0, 2, 1)])
+def test_dp_matches_the_unfolded_dp_at_q243(modulus, tag):
+    """The real spectra at r = 5 split their 121 pairs into a few sizes, so
+    the levels hold groups of up to 44 classes.  o3 is left out, since
+    N_o3(beta) = N_so3(beta) + N_so3(-beta) gives it the groups of so3."""
+    f = Field(5, modulus)
+    assert weight_distribution_dp(f, tag, truncate_at=6).counts == _dp_unfolded(f, tag, 6)
+
+
+def _pair_spectrum(field, size):
+    """A trace spectrum with size(s) positions at each rep s of a pair {s, -s}
+    and none at -s, so that class s holds size(s) positions."""
+    return tuple(size(s) if s <= field.neg(s) else 0 for s in field.elements())
+
+
+_GROUPED_SPECTRA = {
+    # every nonzero class holds 2 positions: each level is one group
+    "one size": lambda s: 2 if s else 3,
+    # class s holds s positions: every group is a single class
+    "all sizes distinct": lambda s: s,
+    # the classes s == 0 mod 3 are empty: 0, and 3^(k-1) for k >= 2, the
+    # class each level pulls last
+    "empty groups": lambda s: s % 3,
+}
+
+
+@pytest.mark.parametrize("spectrum", sorted(_GROUPED_SPECTRA))
+@pytest.mark.parametrize("r, cap", [
+    (1, None), (2, None), (3, 0), (3, 1), (3, 6), (4, 0), (4, 1), (4, 6),
+])
+def test_dp_matches_the_unfolded_dp_on_grouped_spectra(monkeypatch, spectrum, r, cap):
+    f = Field(r)
+    counts = _pair_spectrum(f, _GROUPED_SPECTRA[spectrum])
+    monkeypatch.setattr(codes, "trace_spectrum_closed", lambda field, tag: counts)
+    top = code_length(f.q, "so3") if cap is None else cap
+    assert weight_distribution_dp(f, "so3", truncate_at=cap).counts == _dp_unfolded(f, "so3", top)
+
+
+def test_dp_builds_the_rows_once_per_group(monkeypatch):
+    """The classes of a level that share a size share their rows R_0 and R_1.
+    At r = 5 the DP builds them at most 5r + 1 times, where a pull per class
+    builds them for each of the 122 classes."""
+    calls = []
+    site_rows = codes._site_rows
+
+    def counting(n, cap):
+        calls.append(n)
+        return site_rows(n, cap)
+
+    monkeypatch.setattr(codes, "_site_rows", counting)
+    f = Field(5)
+    for tag in GROUPS:
+        calls.clear()
+        weight_distribution_dp(f, tag, truncate_at=6)
+        assert 0 < len(calls) <= 5 * f.r + 1, (tag, len(calls))
+
+
 @pytest.mark.parametrize("r, modulus", [
     (1, None), (1, (1, 1)), (2, None), (2, (2, 1, 1)), (3, None), (3, (1, 0, 2, 1)),
     (4, None), (4, (1, 0, 1, 1, 1)), (5, None), (5, (1, 0, 0, 0, 2, 1)),
 ])
 def test_encodings_below_each_power_of_3_are_a_subspace(r, modulus):
-    """The DP lets class 3^k compute only the pairs {s, -s} with s < 3^k: that
-    set must be closed under + and -, and its pairs a prefix of the reps."""
+    """Level k of the DP pulls only the pairs {s, -s} with s < 3^k, and its
+    last class writes only those with s < 3^(k-1): each such set must be
+    closed under + and -, and its pairs a prefix of the reps."""
     f = Field(r, modulus)
     reps = [s for s in f.elements() if s <= f.neg(s)]
     for k in range(r + 1):
@@ -303,12 +363,28 @@ def test_dp_reaches_the_slot_bound(monkeypatch, r, cap):
         tuple(comb(n, j) * 2**j for j in range(top + 1))
 
 
+@pytest.mark.parametrize("r, cap", [(3, 6), (4, 6), (4, 12)])
+def test_dp_subset_shifts_may_carry_past_their_slots(monkeypatch, r, cap):
+    """The T_w of a group are never masked, so their slots need no bound.
+    Here the last rep of the top level holds 128 positions and is pulled
+    first; every other rep of that level holds one, and they pull as one
+    group of 3^(r-1) - 1 classes, whose T_w sum up to C(k, w) 2^w shifted
+    columns.  Their largest coefficients then pass what a slot holds, by
+    about 24 times at r = 3 and 5.7 * 10^4 times at r = 4, cap 6; the
+    counts must still be exact."""
+    f = Field(r)
+    last = max(s for s in range(3 ** (r - 1), f.q) if s <= f.neg(s))
+    counts = _pair_spectrum(f, lambda s: 128 if s == last else int(s >= 3 ** (r - 1)))
+    monkeypatch.setattr(codes, "trace_spectrum_closed", lambda field, tag: counts)
+    assert weight_distribution_dp(f, "so3", truncate_at=cap).counts == _dp_unfolded(f, "so3", cap)
+
+
 @pytest.mark.parametrize("r, cap", [(1, None), (2, None), (5, 6)])
 def test_dp_with_every_position_in_trace_1(monkeypatch, r, cap):
     """With every position in trace class 1 and every other class empty, a word
     sums to 0 when its numbers of 1s and 2s agree mod 3, so filtering by the
     cube roots of unity gives C_j = C(N, j) (2^j + 2 (-1)^j) / 3.  Class 1 is
-    the last class before 0 and computes column 0 alone."""
+    the last class before 0 and writes column 0 alone."""
     f = Field(r)
     n = code_length(f.q, "so3")
     monkeypatch.setattr(codes, "trace_spectrum_closed",
