@@ -50,16 +50,25 @@ Element order is canonical and deterministic: for O(3, q) the cells in the
 order (rr=0, Q), (rr=1, Q), (rr=0, rho Q), (rr=1, rho Q), and inside a
 cell lexicographic by (enc(A), enc(h), enc(h')); for Sp(2, q)
 lexicographic by (enc(a), enc(b), enc(c) or enc(d)).  iter_group checks
-every element against the group's defining relation (for O(3, q) its six
-entry equations, see is_orthogonal), and it is the only place that does.
-The membership checks read each entry's log once and form each product of
-two entries as one antilog lookup at the sum of their logs, as Field.mul
-does.  They, the cells, mat_trace and trace_spectrum make no Field method
-call per entry: a sum is read off the field's addition-table rows as
-rows[rows[x][y]][z], and a difference as rows[x][neg[y]] with the
-negation list.  Above q = 729 the rows are a view through the split
-table, so the same code runs at every q.  mat_mul keeps Field.add and
-Field.mul; it and the digit-sum adder _add_slow are the oracles.
+every element it writes out against the group's defining relation (for
+O(3, q) its six entry equations, see is_orthogonal).  enumerate_group
+takes O(3, q) from the checked SO(3, q) instead of a second walk: in the
+canonical order it is S[:n0] + rho S[n0:] + rho S[:n0] + S[n0:], with S
+the SO(3, q) tuple and n0 = q(q - 1) the size of its rr = 0 cell.  Each
+rho w shares w's top and middle rows and negates its last row; rho is
+checked once, and rho times a member is a member by closure.  Streaming
+O(3, q) through iter_group still writes out and checks every element,
+and it is the oracle for that path.
+
+The membership checks read each entry's log once and form each product
+of two entries as one antilog lookup at the sum of their logs, as
+Field.mul does.  They, the cells, rho, mat_trace and trace_spectrum make
+no Field method call per entry: a sum is read off the field's
+addition-table rows as rows[rows[x][y]][z], and a difference as
+rows[x][neg[y]] with the negation list.  Above q = 729 the rows are a
+view through the split table, so the same code runs at every q.  mat_mul
+keeps Field.add and Field.mul; it and the digit-sum adder _add_slow are
+the oracles.
 """
 
 from __future__ import annotations
@@ -258,21 +267,47 @@ def iter_group(field: Field, gid: str) -> Iterator[Mat]:
         yield w
 
 
+def _rho_times(field: Field, elems: tuple[Mat, ...]) -> tuple[Mat, ...]:
+    """rho w for each w: the top and middle rows by reference, the last row
+    negated once per distinct last row and shared."""
+    neg, negated = field._neg, {}
+    out = []
+    for top, mid, low in elems:
+        rho_low = negated.get(low)
+        if rho_low is None:
+            rho_low = negated[low] = (neg[low[0]], neg[low[1]], neg[low[2]])
+        out.append((top, mid, rho_low))
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def enumerate_group(field: Field, gid: str) -> tuple[Mat, ...]:
     """The whole group as a tuple in canonical order, with global checks.
 
-    Each element comes from iter_group, which writes it out from its cell
-    and checks it.  On top of that, checks that the element count matches
-    the closed-form order and that no element was emitted twice.  Guarded
-    to q <= 27; use iter_group to stream larger fields.
+    SO(3, q) and Sp(2, q) come from iter_group, which writes each element
+    out from its cell and checks it.  O(3, q) is SO(3, q) and rho SO(3, q),
+    taken from the cached SO(3, q) in the canonical cell order: rho is
+    checked once, and rho times a checked element lies in O(3, q) by
+    closure.  On top of that, checks that the element count matches the
+    closed-form order and that no element was emitted twice.  Guarded to
+    q <= 27; use iter_group to stream larger fields.
     """
     gid = _check_gid(gid)
     if field.q > _ENUMERATE_MAX_Q:
         raise UnsupportedScaleError(
             f"full materialization bounded at q <= {_ENUMERATE_MAX_Q}, got q = {field.q}"
         )
-    elems = tuple(iter_group(field, gid))
+    if gid == "o3":
+        rho = ((1, 0, 0), (0, 1, 0), (0, 0, field._neg[1]))
+        if not _PREDICATES["o3"](field, rho):
+            raise VerificationError(
+                f"construction bug: o3 element {rho} fails the defining relation at q={field.q}")
+        so3 = enumerate_group(field, "so3")
+        n0 = field.q * (field.q - 1)  # the rr = 0 cell, q(A, h)
+        elems = (so3[:n0] + _rho_times(field, so3[n0:])
+                 + _rho_times(field, so3[:n0]) + so3[n0:])
+    else:
+        elems = tuple(iter_group(field, gid))
     expected = group_order(field.q, gid)
     if len(elems) != expected:
         raise VerificationError(

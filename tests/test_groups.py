@@ -260,11 +260,9 @@ def test_a_corrupted_cell_is_caught(gid, monkeypatch):
     shared ones, by reference, each already yielded with an earlier
     element, so a check skipped for a row seen before would let it through."""
     f = Field(2)
-    members = set(enumerate_group(f, gid))
     cells = groups._iter_cells
-    at = group_order(f.q, gid) - 2
 
-    def corrupted(row):
+    def corrupted(row, at, members):
         def stream(field, g):
             for k, w in enumerate(cells(field, g)):
                 if k == at:
@@ -274,14 +272,78 @@ def test_a_corrupted_cell_is_caught(gid, monkeypatch):
                 yield w
         return stream
 
+    members = set(enumerate_group(f, gid))
     for row in range(2 if gid == "sp2" else 3):
-        monkeypatch.setattr(groups, "_iter_cells", corrupted(row))
+        monkeypatch.setattr(groups, "_iter_cells",
+                            corrupted(row, group_order(f.q, gid) - 2, members))
         enumerate_group.cache_clear()
         try:
             with pytest.raises(VerificationError, match="construction bug"):
-                enumerate_group(f, gid)
+                if gid == "o3":
+                    list(iter_group(f, gid))
+                else:
+                    enumerate_group(f, gid)
         finally:
             enumerate_group.cache_clear()
+    if gid == "o3":
+        # enumerate_group takes O(3, q) from SO(3, q): a corrupted SO(3, q)
+        # element fails a cold O(3, q) enumeration
+        members = set(enumerate_group(f, "so3"))
+        for row in range(3):
+            monkeypatch.setattr(groups, "_iter_cells",
+                                corrupted(row, group_order(f.q, "so3") - 2, members))
+            enumerate_group.cache_clear()
+            try:
+                with pytest.raises(VerificationError, match="construction bug"):
+                    enumerate_group(f, "o3")
+            finally:
+                enumerate_group.cache_clear()
+
+
+@pytest.mark.parametrize("r, modulus", [(1, None), (1, [1, 1]), (2, None), (2, [2, 1, 1]),
+                                        (3, None), (3, [1, 0, 2, 1])],
+                         ids=["r1", "r1-11", "r2", "r2-211", "r3", "r3-1021"])
+def test_o3_from_so3_matches_the_stream(r, modulus):
+    """O(3, q) taken from SO(3, q) and its rho-image is the checked stream,
+    in the same order, and every element is orthogonal."""
+    f = Field(r, modulus)
+    enumerate_group.cache_clear()
+    try:
+        elems = enumerate_group(f, "o3")
+    finally:
+        enumerate_group.cache_clear()
+    assert elems == tuple(iter_group(f, "o3"))
+    assert all(is_orthogonal(f, w) for w in elems)
+
+
+def test_o3_enumeration_walks_and_checks_only_so3(monkeypatch):
+    """With SO(3, q) cached, enumerating O(3, q) walks no cells and checks
+    one element, rho; a cold O(3, q) enumeration walks only the so3 cells."""
+    f = Field(2)
+    walks, checks = [], []
+    cells, is_o3 = groups._iter_cells, groups._PREDICATES["o3"]
+
+    def counting_cells(field, gid):
+        walks.append(gid)
+        return cells(field, gid)
+
+    def counting_o3(field, w):
+        checks.append(w)
+        return is_o3(field, w)
+
+    monkeypatch.setattr(groups, "_iter_cells", counting_cells)
+    monkeypatch.setitem(groups._PREDICATES, "o3", counting_o3)
+    enumerate_group.cache_clear()
+    try:
+        enumerate_group(f, "so3")
+        walks.clear()
+        assert len(enumerate_group(f, "o3")) == group_order(f.q, "o3")
+        assert walks == [] and len(checks) == 1
+        enumerate_group.cache_clear()
+        enumerate_group(f, "o3")
+        assert walks == ["so3"]
+    finally:
+        enumerate_group.cache_clear()
 
 
 @pytest.mark.parametrize("r", [1, 2])
