@@ -29,10 +29,9 @@ oracle for them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .eisenstein import char_sum
 from .errors import UnsupportedScaleError, VerificationError
@@ -143,8 +142,7 @@ def kloosterman_gl_brute(field: Field, t: int, a: int) -> int:
 # moments
 
 
-@dataclass(frozen=True)
-class MomentTable:
+class MomentTable(NamedTuple):
     """Power moments of Kloosterman sums, exact integers.
 
     entries maps (family, h) to the moment value for 0 <= h <= hmax.
@@ -260,8 +258,7 @@ def delta_table_brute(field: Field, m: int) -> tuple[int, ...]:
 # reported identities
 
 
-@dataclass(frozen=True)
-class SalieReport:
+class SalieReport(NamedTuple):
     q: int
     h: int
     lhs: int
@@ -314,8 +311,7 @@ def salie_check(field: Field, hmax: int) -> list[SalieReport]:
     return out
 
 
-@dataclass(frozen=True)
-class PropEReport:
+class PropEReport(NamedTuple):
     q: int
     m: int
     beta: int

@@ -28,7 +28,19 @@ routes and must agree coefficient by coefficient:
     one int with its weights in fixed-width byte slots (Kronecker
     substitution); an entry of weight j over m positions counts some of
     the C(m, j) 2^j words of weight j, and the slots are sized by that
-    bound, so every masked value reads back exactly;
+    bound, so every masked value reads back exactly.
+
+    Passes.  After the first group, a class of n <= J positions pulls
+    alone through the closed forms R_0 = (u^n + 2 v^n)/3 and
+    R_1 = (u^n - v^n)/3, u = 1 + 2y and v = 1 - y: S R_0 + T R_1 =
+    ((S + T) u^n + (2S - T) v^n)/3.  On the packed value at y = B a factor
+    u or v is one shift and one addition, so a column costs 2n linear
+    passes instead of products.  Evaluation at B is a ring homomorphism,
+    so the unmasked numerator, signed coefficients, borrows and carries
+    included, is exactly 3 times the value of the new column, whose
+    coefficients are all nonnegative: divide by 3, then mask.  Truncated
+    rows (n > J), and the first group, pulled from the start state, keep
+    the products;
 
   * the MacWilliams transform of the q-word dual spectrum.  If c_s entries
     of c(a) equal s, the group's exponential sum is G(a) = c_0 + c_1 zeta +
@@ -44,10 +56,10 @@ All counts are exact Python integers throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import NamedTuple
 
 from .eisenstein import CycInt
 from .errors import UnsupportedScaleError, VerificationError
@@ -165,8 +177,7 @@ def pless_sum(n: int, h: int, counts) -> Fraction:
 # weight distributions
 
 
-@dataclass(frozen=True)
-class WeightDistribution:
+class WeightDistribution(NamedTuple):
     code: str
     counts: tuple[int, ...]
     truncated_at: int | None = None
@@ -214,6 +225,28 @@ def _dp_plan(field: Field, reps: list[int], counts_beta) -> list[tuple[int, list
         plan.append((n, betas[1:] + betas[:1], top, low))
     plan.append((counts_beta[0], [0], 1, 1))
     return plan
+
+
+def _pull_by_passes(state: list[int], lo: list[int], hi: list[int], n: int,
+                    nbytes: int, mask: int) -> list[int]:
+    """One class of n positions, pulled whole: column i of the result is
+    state[i] R_0 + T R_1 with T = state[lo[i]] + state[hi[i]], that is
+    ((S + T) u^n + (2S - T) v^n) / 3 with u = 1 + 2y and v = 1 - y, each
+    factor one shift-and-add pass on the packed value; see
+    weight_distribution_dp, "Passes"."""
+    up, down = 8 * nbytes + 1, 8 * nbytes
+    new = []
+    for s, a, b in zip(state, lo, hi):
+        t = state[a] + state[b]
+        x, z = s + t, 2 * s - t
+        for _ in range(n):
+            x += x << up
+            z -= z << down
+        col, rem = divmod(x + z, 3)
+        if rem:
+            raise VerificationError(f"pass pull of a class of {n} positions is not divisible by 3")
+        new.append(col & mask)
+    return new
 
 
 def weight_distribution_dp(field: Field, tag: str,
@@ -278,6 +311,28 @@ def weight_distribution_dp(field: Field, tag: str,
     carry into the slot above, and sum_w T_w P_w is still the value of
     the exact new column.
 
+    Passes.  A group after the first whose rows are untruncated (n <= cap)
+    pulls one class at a time, with u = 1 + 2y and v = 1 - y:
+
+        new[s] = ((S + T) u^n + (2S - T) v^n) / 3,  S = state[s],
+        T = state[s - beta] + state[s + beta],
+
+    by R_0 = (u^n + 2 v^n)/3 and R_1 = (u^n - v^n)/3 (_site_rows).  With
+    y = B, multiplying by u is x + (x << 8 nbytes + 1) and by v is
+    x - (x << 8 nbytes), so the class makes 2n linear passes per column it
+    writes.  The pair is exact for the same reason as the products: the
+    numerator is the value at B of 3 times the new column, whatever signs
+    and carries its unmasked slots hold, so the division by 3 leaves no
+    remainder (one raises VerificationError), and the quotient, a
+    polynomial with nonnegative coefficients that fit their slots up to the
+    width, is then masked.  Masking first would cut 3 times the top count
+    kept, which may pass its slot.  Class 0 needs no case of its own:
+    T = 2S, so 2S - T = 0 and the pull is S u^n.  The columns of one group
+    share the group's final width and slot size, since the bounds only grow
+    with m.  The first group starts from state[0] = 1, where its products
+    cost next to nothing, and a truncated row is dense mod y^(cap+1) while
+    n > cap, so both keep the products.
+
     Untruncated runs are bounded to N <= 2000; pass truncate_at=J for the
     exact counts C_0..C_J at any supported q.
     """
@@ -296,24 +351,36 @@ def weight_distribution_dp(field: Field, tag: str,
     col_of = [0] * field.q
     for i, s in enumerate(reps):
         col_of[s] = col_of[neg(s)] = i
+
+    def neighbours(beta: int, cols: list[int]) -> tuple[list[int], list[int]]:
+        """The state columns of s - beta and s + beta for each pair s in cols."""
+        minus, plus = rows[neg(beta)], rows[beta]
+        return [col_of[minus[s]] for s in cols], [col_of[plus[s]] for s in cols]
+
     state = [1] + [0] * (len(reps) - 1)
     m = width = 0
     nbytes = 1
     for n, betas, nin, nout in _dp_plan(field, reps, counts_beta):
         if not n:
             continue
-        stay, move = _site_rows(n, cap)
-        k, wmax = len(betas), min(len(betas), cap)
-        if not betas[0]:
-            stay, move, wmax = [x + 2 * y for x, y in zip(stay, move)], [0], 0
-        seen = width + 1
-        m, width = m + k * n, min(cap, width + k * (len(stay) - 1))
+        k, seen = len(betas), width + 1
+        by_passes = 0 < width and n <= cap
+        m, width = m + k * n, min(cap, width + k * min(n, cap))
         grown = _slot_bytes(m, width)
         if grown > nbytes:
             state = [_pack(_unpack(col, seen, nbytes), grown) for col in state]
             nbytes = grown
-        stay, move = _pack(stay, nbytes), _pack(move, nbytes)
         mask = (1 << (8 * nbytes * (width + 1))) - 1
+        if by_passes:
+            for i, beta in enumerate(betas, 1):
+                lo, hi = neighbours(beta, reps[:nout if i == k else nin])
+                state = _pull_by_passes(state, lo, hi, n, nbytes, mask)
+            continue
+        stay, move = _site_rows(n, cap)
+        wmax = min(k, cap)
+        if not betas[0]:
+            stay, move, wmax = [x + 2 * y for x, y in zip(stay, move)], [0], 0
+        stay, move = _pack(stay, nbytes), _pack(move, nbytes)
         # products[w] = P_w = R_0^(k-w) R_1^w, terms[w] = T_w; see the docstring
         powers = [1]
         for _ in range(k):
@@ -324,9 +391,7 @@ def weight_distribution_dp(field: Field, tag: str,
             products.append(powers[k - w] * lift & mask)
         terms = [state] + [[0] * nin for _ in range(wmax)]
         for i, beta in enumerate(betas, 1):
-            cols = reps[:nout if i == k else nin]
-            plus, minus = rows[beta], rows[neg(beta)]
-            lo, hi = [col_of[minus[s]] for s in cols], [col_of[plus[s]] for s in cols]
+            lo, hi = neighbours(beta, reps[:nout if i == k else nin])
             for w in range(min(i, wmax), 0, -1):
                 prev = terms[w - 1]
                 terms[w] = [t + prev[a] + prev[b] for t, a, b in zip(terms[w], lo, hi)]
@@ -385,8 +450,7 @@ def weight_distribution_macwilliams(field: Field, tag: str) -> WeightDistributio
 # the Pless power-moment identity
 
 
-@dataclass(frozen=True)
-class PlessReport:
+class PlessReport(NamedTuple):
     code: str
     q: int
     h: int

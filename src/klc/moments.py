@@ -33,11 +33,10 @@ reports for that identity carry a note saying so.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .charsums import moment_table
 from .codes import code_length, pless_sum, weight_distribution_dp
@@ -49,8 +48,7 @@ _A2_NOTE = "exponent base s read as 2"
 _MAX_HMAX = 16
 
 
-@dataclass(frozen=True)
-class RecursionReport:
+class RecursionReport(NamedTuple):
     theorem: str
     q: int
     h: int
@@ -96,6 +94,8 @@ def truncated_counts(field: Field, tag: str, j_max: int) -> list[int]:
 
 
 def _digest(*seqs) -> str:
+    import hashlib  # only the recursion commands digest; start-up skips it
+
     blob = json.dumps([[str(v) for v in s] for s in seqs]).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 

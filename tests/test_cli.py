@@ -279,20 +279,32 @@ def test_moments_at_q6561(runner):
         assert 2 * value[("SK", h)] == value[("T0SK", h)] + value[("T12SK", h)]
 
 
-def test_kloosterman_table_is_not_built_at_setup():
-    """Importing the CLI and building a field leave the K table to the command."""
-    code = ("import klc.cli\n"
-            "from klc.charsums import kloosterman_all\n"
-            "from klc.field import Field\n"
-            "Field(7)\n"
-            "print(kloosterman_all.cache_info().currsize)")
+def _fresh_python(code):
+    """Stdout of code run in a fresh interpreter that imports this klc."""
     src = str(Path(klc.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0\n"
+    return proc.stdout
+
+
+def test_kloosterman_table_is_not_built_at_setup():
+    """Importing the CLI and building a field leave the K table to the command."""
+    assert _fresh_python("import klc.cli\n"
+                         "from klc.charsums import kloosterman_all\n"
+                         "from klc.field import Field\n"
+                         "Field(7)\n"
+                         "print(kloosterman_all.cache_info().currsize)") == "0\n"
+
+
+def test_cli_import_loads_no_dataclasses_or_hashlib():
+    """Every command pays for what importing the CLI loads.  The records are
+    NamedTuples and moments._digest imports hashlib when it runs, so the
+    import adds neither module to what a bare interpreter holds."""
+    probe = "import sys\nprint(sorted({'dataclasses', 'hashlib'} & set(sys.modules)))"
+    assert _fresh_python("import klc.cli\n" + probe) == _fresh_python(probe)
 
 
 def test_package_has_no_assert_statements():

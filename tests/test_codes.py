@@ -394,6 +394,98 @@ def test_dp_with_every_position_in_trace_1(monkeypatch, r, cap):
         tuple(comb(n, j) * (2**j + 2 * (-1) ** j) // 3 for j in range(top + 1))
 
 
+def _spy_passes(monkeypatch):
+    """Record each class the DP pulls by passes, as whether 2S - T, the
+    packed factor of (1 - y)^n, is negative in some column it writes."""
+    calls = []
+    pull = codes._pull_by_passes
+
+    def spying(state, lo, hi, n, nbytes, mask):
+        calls.append(any(2 * s - state[a] - state[b] < 0 for s, a, b in zip(state, lo, hi)))
+        return pull(state, lo, hi, n, nbytes, mask)
+
+    monkeypatch.setattr(codes, "_pull_by_passes", spying)
+    return calls
+
+
+def _classes_after_the_first_group(field, counts):
+    reps = [s for s in field.elements() if s <= field.neg(s)]
+    plan = [group for group in codes._dp_plan(field, reps, counts) if group[0]]
+    return sum(len(betas) for _, betas, _, _ in plan[1:])
+
+
+_PASS_SPECTRA = {
+    # every class a size of its own, s and -s apart
+    "s + 1": lambda s: s + 1,
+    # sizes repeating out of order, so some groups hold several classes
+    "5s + 2 mod 7": lambda s: 1 + (5 * s + 2) % 7,
+    # one size: each level pulls as a single group
+    "one size": lambda s: 2,
+}
+
+
+@pytest.mark.parametrize("spectrum", sorted(_PASS_SPECTRA))
+@pytest.mark.parametrize("r, modulus", [(1, None), (1, (2, 1)), (2, None), (2, (2, 1, 1))])
+def test_pass_pull_matches_the_unfolded_dp(monkeypatch, spectrum, r, modulus):
+    """Untruncated, every group after the first goes by passes."""
+    f = Field(r, modulus)
+    counts = tuple(map(_PASS_SPECTRA[spectrum], f.elements()))
+    monkeypatch.setattr(codes, "trace_spectrum_closed", lambda field, tag: counts)
+    calls = _spy_passes(monkeypatch)
+    result = weight_distribution_dp(f, "so3").counts
+    assert len(calls) == _classes_after_the_first_group(f, counts) > 0
+    assert result == _dp_unfolded(f, "so3", code_length(f.q, "so3"))
+
+
+@pytest.mark.parametrize("modulus", [None, (2, 1, 1)])
+def test_pass_pull_with_a_negative_factor_of_the_v_passes(monkeypatch, modulus):
+    """Class s holding s + 1 positions makes 2S - T negative in some column
+    of the first two classes pulled by passes at r = 2; the signed value
+    and its borrows still read back exactly."""
+    f = Field(2, modulus)
+    counts = tuple(s + 1 for s in f.elements())
+    monkeypatch.setattr(codes, "trace_spectrum_closed", lambda field, tag: counts)
+    calls = _spy_passes(monkeypatch)
+    result = weight_distribution_dp(f, "so3").counts
+    assert calls[:2] == [True, True]
+    assert result == _dp_unfolded(f, "so3", code_length(f.q, "so3"))
+
+
+@pytest.mark.parametrize("modulus", [None, (2, 1)])
+@pytest.mark.parametrize("counts, cap", [((2, 4, 0), 4), ((1, 10, 0), 2)])
+def test_truncated_pass_pull_masks_after_the_division(monkeypatch, modulus, counts, cap):
+    """At r = 1 class 0 holds n(0) <= width <= cap positions and goes by
+    passes.  The top count kept is near its slot's limit here, so 3 times
+    it runs past the mask: masking before the division by 3 loses it."""
+    f = Field(1, modulus)
+    monkeypatch.setattr(codes, "trace_spectrum_closed", lambda field, tag: counts)
+    calls = _spy_passes(monkeypatch)
+    result = weight_distribution_dp(f, "so3", truncate_at=cap).counts
+    assert len(calls) == 1
+    assert result == _dp_unfolded(f, "so3", cap)
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_truncated_dp_pulls_no_class_by_passes(monkeypatch, r):
+    """From r = 2 on, every class of the three codes holds more than 16
+    positions, so each pull of the recursion rows (cap <= 16) keeps the
+    packed products."""
+    f = Field(r)
+    calls = _spy_passes(monkeypatch)
+    for tag in GROUPS:
+        weight_distribution_dp(f, tag, truncate_at=16)
+    assert calls == []
+
+
+def test_full_dp_at_q9_pulls_every_group_after_the_first_by_passes(monkeypatch):
+    f = Field(2)
+    calls = _spy_passes(monkeypatch)
+    for tag in GROUPS:
+        calls.clear()
+        weight_distribution_dp(f, tag)
+        assert len(calls) == _classes_after_the_first_group(f, trace_spectrum_closed(f, tag)), tag
+
+
 @pytest.mark.parametrize("tag", GROUPS)
 def test_truncation_is_a_prefix(tag):
     f = Field(1)
