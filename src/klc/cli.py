@@ -126,7 +126,7 @@ _HMAX = click.option("--hmax", type=click.IntRange(1, _MAX_HMAX), default=4, sho
 
 
 @leaf(charsums_cmd, "moments",
-      click.option("--hmax", type=click.IntRange(0, 16), default=8, show_default=True))
+      click.option("--hmax", type=click.IntRange(0, _MAX_HMAX), default=8, show_default=True))
 def charsums_moments(field, seed, hmax):
     """Emit the four moment families for h = 0..hmax."""
     return moment_table(field, hmax).rows()

@@ -16,19 +16,32 @@ routes and must agree coefficient by coefficient:
     sum).  Since the additive group has exponent 3, only (nu - mu) mod 3
     moves the sum, and the per-beta transition rows for the three residues
     have closed forms, the two nonzero residues sharing one row.  The DP
-    is folded by +-: flipping 1 <-> 2 merges the classes beta and -beta,
-    and the state keeps one column per pair {s, -s} since it stays
-    symmetric.  The classes run in levels k = r, ..., 1, level k holding
-    3^(k-1) <= beta < 3^k, and then 0; level k reads and writes only the
-    pairs below 3^k, a subspace, its last class 3^(k-1) writes only those
-    below 3^(k-1), and class 0 writes column 0 alone.  The classes of a
-    level that share a size share their rows, and pull at once through
-    prod_i (R_0 + R_1 E_i) = sum_w R_0^(k-w) R_1^w e_w(E): min(k, J) + 1
-    products per column, the e_w(E) built by additions.  Each column is
-    one int with its weights in fixed-width byte slots (Kronecker
-    substitution); an entry of weight j over m positions counts some of
-    the C(m, j) 2^j words of weight j, and the slots are sized by that
-    bound, so every masked value reads back exactly.
+    is folded by +-: flipping 1 <-> 2 merges the classes beta and -beta.
+    Each column is one int with its weights in fixed-width byte slots
+    (Kronecker substitution); an entry of weight j over m positions counts
+    some of the C(m, j) 2^j words of weight j, and the slots are sized by
+    that bound, so every masked value reads back exactly.
+
+    Orbits.  Every trace spectrum is invariant under phi(x) = x^3, since
+    the groups are defined over GF(3) and tr(x^3) = tr(x).  The state
+    keeps one column per orbit of <-1, phi^d> on GF(q), 26 at r = 5 where
+    the pairs {s, -s} number 122, with d the smallest divisor of r such
+    that the class sizes are phi^d-invariant and every class pulled alone
+    is phi^d-fixed up to sign: both are checked, not assumed, and d = r
+    gives the pairs.  Each group of equal-size classes is then a union of
+    orbits, so its pull keeps the state invariant.  Class {+-1}, then
+    class 0, pull last, each alone; each group writes only the columns
+    that later groups read: class 0 and class {+-1} column 0, and the last
+    class before them columns {0} and {+-1}.
+
+    Newton.  A group of k classes pulls at once through
+    prod_i (R_0 + R_1 E_i) = sum_w R_0^(k-w) R_1^w e_w(E), E_i the shift by
+    +-beta_i.  Since 2 beta = -beta, E_i^2 = E_i + 2, so every power sum of
+    the E_i is affine in P = sum_i E_i, a small integer matrix on the orbit
+    columns, and Newton's identities build e_w(E) state from P T_0, ...,
+    P T_(w-1): min(k, J) products by P and min(k, J) + 1 packed products
+    per column.  The division by w in Newton's identities is exact on the
+    packed values, since evaluation at B is a ring homomorphism.
 
     Passes.  After the first group, a class of n <= J positions pulls
     alone through the closed forms R_0 = (u^n + 2 v^n)/3 and
@@ -56,9 +69,11 @@ All counts are exact Python integers throughout.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .eisenstein import CycInt
@@ -208,23 +223,45 @@ def _slot_bytes(m: int, width: int) -> int:
     return ((comb(m, j) << j).bit_length() + 7) // 8
 
 
-def _dp_plan(field: Field, reps: list[int], counts_beta) -> list[tuple[int, list[int], int, int]]:
-    """The groups of the weight DP in pull order, each as (n, its classes,
-    the pairs it reads, the pairs it writes); see weight_distribution_dp."""
-    neg = field.neg
-    plan = []
-    for k in range(field.r, 0, -1):
-        low, top = (3 ** (k - 1) + 1) // 2, (3**k + 1) // 2
-        groups: dict[int, list[int]] = {}
-        for beta in reps[low:top]:
-            groups.setdefault(counts_beta[beta] + counts_beta[neg(beta)], []).append(beta)
-        # reps[low] = 3^(k-1) opens the level, so its group is the first one
-        # inserted; that group and 3^(k-1) within it go last
-        (n, betas), *rest = groups.items()
-        plan += [(size, group, top, top) for size, group in rest]
-        plan.append((n, betas[1:] + betas[:1], top, low))
-    plan.append((counts_beta[0], [0], 1, 1))
-    return plan
+def _dp_plan(field: Field, sizes: list[int]) -> list[tuple[int, list[int], int | None]]:
+    """The nonempty groups of the weight DP in pull order, each as (n, its
+    classes, the number of columns its last class writes or None for all);
+    see weight_distribution_dp, "Orbits"."""
+    reps = [s for s in field.elements() if s <= field.neg(s)]
+    groups: dict[int, list[int]] = {}
+    for beta in reversed(reps[2:]):
+        groups.setdefault(sizes[beta], []).append(beta)
+    # reps[2] = t is scanned last, so it is the last class of its group
+    tail = [(sizes[3], groups.pop(sizes[3]), 2)] if field.r > 1 else []
+    plan = [(n, betas, None) for n, betas in groups.items()] + tail
+    plan += [(sizes[1], [1], 1), (sizes[0], [0], 1)]
+    return [group for group in plan if group[0]]
+
+
+def _orbit_columns(field: Field, sizes: list[int], alone: list[int]) -> tuple[list[int], list[int]]:
+    """The columns of the weight DP's state: the orbits of <-1, phi^d> on
+    GF(q), phi(x) = x^3, for the smallest divisor d of r under which sizes
+    is invariant and every class in alone is fixed up to sign; d = r gives
+    the pairs {s, -s}.  Returns the smallest element of each orbit, in
+    increasing order, and the column of each element; see
+    weight_distribution_dp, "Orbits"."""
+    neg, elements = field.neg, field.elements()
+    frob = [field.pow(x, 3) for x in elements]
+    step = list(elements)
+    for d in range(1, field.r + 1):
+        step = [frob[x] for x in step]
+        if not field.r % d and all(sizes[step[x]] == sizes[x] for x in elements) \
+                and all(step[beta] in (beta, neg(beta)) for beta in alone):
+            break
+    firsts, col_of = [], [-1] * field.q
+    for x in elements:
+        if col_of[x] < 0:
+            y = x
+            while col_of[y] < 0:
+                col_of[y] = col_of[neg(y)] = len(firsts)
+                y = step[y]
+            firsts.append(x)
+    return firsts, col_of
 
 
 def _pull_by_passes(state: list[int], lo: list[int], hi: list[int], n: int,
@@ -249,51 +286,95 @@ def _pull_by_passes(state: list[int], lo: list[int], hi: list[int], n: int,
     return new
 
 
+def _pull_by_newton(state: list[int], shift: list[tuple[list[int], list[int]]], k: int,
+                    products: list[int], nout: int | None, mask: int) -> list[int]:
+    """A group of k classes, pulled at once: column i of the result, for the
+    first nout columns (all for None), is sum_w T_w[i] products[w] with
+    T_0 = state and T_w = e_w(E) state, built by Newton's identities from
+    P T_0, ..., P T_(w-1).  Column i of P T reads the columns shift[i][0]
+    of T with the multiplicities shift[i][1]; see weight_distribution_dp,
+    "Newton"."""
+    terms, moved, coeffs = [state], [], []
+    alpha, beta = 1, 0
+    for w in range(1, len(products)):
+        prev = terms[-1]
+        moved.append([sum(map(mul, mults, map(prev.__getitem__, cols))) for cols, mults in shift])
+        sign = (-1) ** (w - 1)
+        coeffs.append((sign * alpha, sign * k * beta))
+        alpha, beta = alpha + beta, 2 * alpha
+        acc = [0] * len(state)
+        for (a, b), pt, t in zip(coeffs, reversed(moved), reversed(terms)):
+            acc = [x + a * y + b * z for x, y, z in zip(acc, pt, t)]
+        if any(x % w for x in acc):
+            raise VerificationError(f"Newton step {w} of a group of {k} classes "
+                                    f"is not divisible by {w}")
+        terms.append([x // w for x in acc])
+    return [sum(t[i] * p for t, p in zip(terms, products)) & mask
+            for i in range(len(state))[:nout]]
+
+
 def weight_distribution_dp(field: Field, tag: str,
                            truncate_at: int | None = None) -> WeightDistribution:
     """Weight distribution by the combinatorial dynamic program.
 
     state[s][w] counts partial words of weight w whose sum of (nu - mu) beta
     so far is s; class beta pulls each column as
-    new[s] = state[s] R_0 + (state[s - beta] + state[s + beta]) R_1.
+    new[s] = state[s] R_0 + (state[s - beta] + state[s + beta]) R_1,
+    that is by R_0 + R_1 E_beta with E_beta state[s] =
+    state[s - beta] + state[s + beta].
 
-    Two exact symmetries cut the work about fourfold.  Flipping 1 <-> 2 at a
-    position keeps its weight and negates its term, so the positions of
-    class -beta count as more positions of class beta: beta = 0 stays alone
-    and each pair {beta, -beta} is one class of n(beta) + n(-beta)
-    positions.  The pull maps a state with state[s] == state[-s] to another
-    one, and the start state[0] = 1 is such a state, so one column is kept
-    per pair {s, -s}.
+    Flipping 1 <-> 2 at a position keeps its weight and negates its term,
+    so the positions of class -beta count as more positions of class beta:
+    beta = 0 stays alone and each pair {beta, -beta} is one class of
+    n(beta) + n(-beta) positions.  The pulls commute, and classes of one
+    size n share R_0 and R_1: the classes of one size, other than 0 and
+    +-1, form a group.  The groups pull in order of their largest class,
+    except that the group of t = 3 pulls last, t last within it; then
+    class {+-1} and class 0, each a group of its own.
 
-    Levels.  The encodings s < 3^k are H_k, the GF(3)-span of 1, t, ...,
-    t^(k-1), since the base-3 digits are the polynomial-basis coordinates
-    and addition is digit-wise mod 3 whatever the modulus; so H_k is closed
-    under +-, and its pairs are the first (3^k + 1) // 2 of reps.  The
-    classes run in levels k = r, ..., 1, level k holding the pairs with
-    3^(k-1) <= beta < 3^k; class 0 comes last.  Every class from level k on
-    lies in H_k, so column 0 at the end reads only the columns of H_k
-    before level k, and level k pulls only the pairs of H_k: it reads
-    s +- beta, both in H_k.  Its last class, 3^(k-1), writes only the pairs
-    of H_(k-1), and class 0 writes column 0 alone, the one returned.
-    Class 0, the smallest class, goes last so that every earlier width
-    leaves out its n(0) positions.
+    Orbits.  The Frobenius map phi(x) = x^3 fixes tr, and the groups are
+    defined over GF(3), so every real trace spectrum is phi-invariant.  If
+    the class sizes are phi^d-invariant, phi^d maps each group onto
+    itself, so the group's pull commutes with phi^d and with s -> -s; the
+    start state[0] = 1 is invariant under both, hence so is every state
+    between groups, and one column is kept per orbit of <-1, phi^d> on
+    GF(q), column i for the orbit of its smallest element reps[i].  A
+    class pulled alone (see Passes) must itself commute with phi^d, so it
+    must be phi^d-fixed up to sign.  d is the smallest divisor of r that
+    meets both conditions, checked on the spectrum given (_orbit_columns),
+    and d = r gives one column per pair {s, -s}.  The real spectra get
+    d = 1 when truncated at J <= 16 from r = 2 on: 6 / 14 / 26 columns at
+    r = 3 / 4 / 5 instead of 14 / 41 / 122 pairs.  Column 0 is {0} and
+    column 1 is {+-1}.  Each group writes only the columns that later
+    groups read: class 0 writes column 0, class {+-1} writes column 0 from
+    columns 0 and 1, and the last class before them writes columns 0 and
+    1, the state keeping only the columns written.  Class 0, the smallest
+    class, goes last so that every earlier width leaves out its n(0)
+    positions.
 
-    Groups.  The pulls are the commuting operators R_0 + R_1 E_beta, with
-    E_beta state[s] = state[s - beta] + state[s + beta], and classes of
-    one size n share R_0 and R_1.  So the k classes of a level that share
-    n pull at once by the expansion
+    Newton.  A group of k classes of n positions pulls at once by the
+    expansion
 
         prod_i (R_0 + R_1 E_i) = sum_w R_0^(k-w) R_1^w e_w(E_1, ..., E_k),
 
     new[s] = sum_w T_w[s] P_w with P_w = R_0^(k-w) R_1^w mod y^(J+1) and
-    T_w = e_w(E) state, the signed w-subset shifts of the state.  R_1 has
-    no constant term, so P_w = 0 for w > J and w runs to min(k, J).  The
-    T_w take only additions: over the group's classes in turn,
-    T_w += E_i T_(w-1), w descending, and the last class, 3^(k-1) in the
-    last group of a level, writes only the pairs the group writes.  Class
-    0 is a group of its own: s - 0 == s + 0 makes E_0 = 2, so it folds R_1
-    into its one row R_0 + 2 R_1.  A group of n = 0 is the identity and is
-    skipped.
+    T_w = e_w(E) state.  R_1 has no constant term, so P_w = 0 for w > J
+    and w runs to min(k, J).  Since 2 beta = -beta, E_beta^2 state[s] =
+    state[s + beta] + 2 state[s] + state[s - beta], that is
+    E_beta^2 = E_beta + 2 (also for E_0 = 2), and so E^j = alpha_j E +
+    beta_j with alpha_1 = 1, beta_1 = 0, alpha_(j+1) = alpha_j + beta_j
+    and beta_(j+1) = 2 alpha_j.  Every power sum of the group is then
+    affine in P = sum_i E_i, the group's summed shift:
+    sum_i E_i^j = alpha_j P + k beta_j, and Newton's identities give
+
+        w T_w = sum_(j=1..w) (-1)^(j-1) (alpha_j P T_(w-j) + k beta_j T_(w-j)).
+
+    P commutes with phi^d and -1, so on the orbit columns it is a small
+    integer matrix, P[i][i'] counting the signed classes +-beta of the
+    group with reps[i] +- beta in orbit i'.  The division by w is exact on
+    the packed values, since evaluation at B is a ring homomorphism and
+    the right side is the value at B of w times a polynomial with integer
+    coefficients; a remainder raises VerificationError.
 
     Slots.  Each column is one int with its weights in fixed-width byte
     slots (field._pack): the value at y = B = 2^(8 nbytes) of its
@@ -346,59 +427,48 @@ def weight_distribution_dp(field: Field, tag: str,
 
     neg, rows = field.neg, field._rows
     counts_beta = trace_spectrum_closed(field, tag)
-    # reps[i] is the smaller of a pair {s, -s}; column i of the state holds both
-    reps = [s for s in field.elements() if s <= neg(s)]
-    col_of = [0] * field.q
-    for i, s in enumerate(reps):
-        col_of[s] = col_of[neg(s)] = i
-
-    def neighbours(beta: int, cols: list[int]) -> tuple[list[int], list[int]]:
-        """The state columns of s - beta and s + beta for each pair s in cols."""
-        minus, plus = rows[neg(beta)], rows[beta]
-        return [col_of[minus[s]] for s in cols], [col_of[plus[s]] for s in cols]
+    # sizes[s] is the number of positions of class {s, -s}
+    sizes = [counts_beta[s] + counts_beta[neg(s)] if s else counts_beta[0]
+             for s in field.elements()]
+    plan = _dp_plan(field, sizes)
+    reps, col_of = _orbit_columns(
+        field, sizes, [beta for n, betas, _ in plan[1:] if n <= cap for beta in betas])
 
     state = [1] + [0] * (len(reps) - 1)
     m = width = 0
     nbytes = 1
-    for n, betas, nin, nout in _dp_plan(field, reps, counts_beta):
-        if not n:
-            continue
+    for g, (n, betas, nout) in enumerate(plan):
         k, seen = len(betas), width + 1
-        by_passes = 0 < width and n <= cap
         m, width = m + k * n, min(cap, width + k * min(n, cap))
         grown = _slot_bytes(m, width)
         if grown > nbytes:
             state = [_pack(_unpack(col, seen, nbytes), grown) for col in state]
             nbytes = grown
         mask = (1 << (8 * nbytes * (width + 1))) - 1
-        if by_passes:
+        if g and n <= cap:
             for i, beta in enumerate(betas, 1):
-                lo, hi = neighbours(beta, reps[:nout if i == k else nin])
-                state = _pull_by_passes(state, lo, hi, n, nbytes, mask)
+                minus, plus = rows[neg(beta)], rows[beta]
+                cols = reps[:nout if i == k else None]
+                state = _pull_by_passes(state, [col_of[minus[s]] for s in cols],
+                                        [col_of[plus[s]] for s in cols], n, nbytes, mask)
             continue
         stay, move = _site_rows(n, cap)
-        wmax = min(k, cap)
-        if not betas[0]:
-            stay, move, wmax = [x + 2 * y for x, y in zip(stay, move)], [0], 0
         stay, move = _pack(stay, nbytes), _pack(move, nbytes)
-        # products[w] = P_w = R_0^(k-w) R_1^w, terms[w] = T_w; see the docstring
+        # products[w] = P_w = R_0^(k-w) R_1^w; see the docstring
         powers = [1]
         for _ in range(k):
             powers.append(powers[-1] * stay & mask)
         products, lift = [powers[k]], 1
-        for w in range(1, wmax + 1):
+        for w in range(1, min(k, cap) + 1):
             lift = lift * move & mask
             products.append(powers[k - w] * lift & mask)
-        terms = [state] + [[0] * nin for _ in range(wmax)]
-        for i, beta in enumerate(betas, 1):
-            lo, hi = neighbours(beta, reps[:nout if i == k else nin])
-            for w in range(min(i, wmax), 0, -1):
-                prev = terms[w - 1]
-                terms[w] = [t + prev[a] + prev[b] for t, a, b in zip(terms[w], lo, hi)]
-        new = [t * products[0] for t in state[:nout]]
-        for term, p in zip(terms[1:], products[1:]):
-            new = [x + t * p for x, t in zip(new, term)]
-        state = [x & mask for x in new]
+        # shift[i]: the columns and multiplicities of reps[i] +- beta over the group
+        signed = betas + [neg(beta) for beta in betas]
+        shift = []
+        for s in reps[:len(state)]:
+            hits = Counter(map(col_of.__getitem__, itemgetter(*signed)(rows[s])))
+            shift.append((list(hits), list(hits.values())))
+        state = _pull_by_newton(state, shift, k, products, nout, mask)
     return WeightDistribution(code=tag, counts=tuple(_unpack(state[0], width + 1, nbytes)),
                               truncated_at=truncate_at)
 

@@ -236,8 +236,9 @@ class Field:
             p = 3**k
             neg += [(3 - c) * p + v for c in (1, 2) for v in neg]
             if k < half or q <= _ADD_TABLE_MAX_Q:
-                table = [[(c + d) % 3 * p + v for d in range(3) for v in row]
-                         for c in range(3) for row in table]
+                # row c * 3^k + x is row x shifted by (c + d) * 3^k over the blocks d
+                blocks = [[list(map((d * p).__add__, row)) for d in range(3)] for row in table]
+                table = [b[c] + b[(c + 1) % 3] + b[(c + 2) % 3] for c in range(3) for b in blocks]
             if k + 1 == half:
                 self._split, self._split_table = 3 * p, table
         self._neg = neg

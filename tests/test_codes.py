@@ -268,12 +268,17 @@ def test_dp_matches_the_unfolded_dp(r, modulus, cap, tag):
     assert counts == _dp_unfolded(f, tag, code_length(f.q, tag) if cap is None else cap)
 
 
-@pytest.mark.parametrize("tag", ["so3", "sp2"])
-@pytest.mark.parametrize("modulus", [None, (1, 0, 0, 0, 2, 1)])
+@pytest.mark.parametrize("modulus, tag", [
+    pytest.param(None, "so3", id="None-so3"),
+    pytest.param((1, 0, 0, 0, 2, 1), "so3", id="modulus1-so3"),
+    pytest.param(None, "sp2", id="None-sp2"),
+    pytest.param((1, 0, 0, 0, 2, 1), "sp2", id="modulus1-sp2"),
+    pytest.param(None, "o3", id="None-o3"),
+])
 def test_dp_matches_the_unfolded_dp_at_q243(modulus, tag):
-    """The real spectra at r = 5 split their 121 pairs into a few sizes, so
-    the levels hold groups of up to 44 classes.  o3 is left out, since
-    N_o3(beta) = N_so3(beta) + N_so3(-beta) gives it the groups of so3."""
+    """The real spectra at r = 5 split their 120 pairs other than {+-1} into
+    at most four sizes, so each group holds dozens of classes, pulled as a
+    polynomial in their summed shift over 26 orbit columns."""
     f = Field(5, modulus)
     assert weight_distribution_dp(f, tag, truncate_at=6).counts == _dp_unfolded(f, tag, 6)
 
@@ -307,10 +312,80 @@ def test_dp_matches_the_unfolded_dp_on_grouped_spectra(monkeypatch, spectrum, r,
     assert weight_distribution_dp(f, "so3", truncate_at=cap).counts == _dp_unfolded(f, "so3", top)
 
 
+def _sizes(field, counts):
+    """The positions of class {s, -s} at each s, as the DP reads them."""
+    return [counts[s] + counts[field.neg(s)] if s else counts[0] for s in field.elements()]
+
+
+def _orbits(field, d):
+    """The orbits of <-1, phi^d> on GF(q), phi(x) = x^3, each as a frozenset."""
+    def images(x):
+        return {field.pow(x, 3 ** (d * k)) for k in range(field.r)}
+    return {frozenset(images(x) | {field.neg(y) for y in images(x)}) for x in field.elements()}
+
+
+def _spy_columns(monkeypatch):
+    """Record the number of state columns of each DP run."""
+    columns = []
+    orbit_columns = codes._orbit_columns
+
+    def spying(field, sizes, alone):
+        reps, col_of = orbit_columns(field, sizes, alone)
+        columns.append(len(reps))
+        return reps, col_of
+
+    monkeypatch.setattr(codes, "_orbit_columns", spying)
+    return columns
+
+
+@pytest.mark.parametrize("r, modulus, cap, tags, d, width", [
+    (3, None, 6, GROUPS, 1, 6), (4, None, 6, GROUPS, 1, 14), (5, None, 6, GROUPS, 1, 26),
+    (2, None, None, ("so3",), 1, 4), (2, (2, 1, 1), None, ("so3",), 2, 5),
+    (2, (2, 2, 1), None, ("so3",), 2, 5),
+])
+def test_dp_runs_on_the_frobenius_orbits(monkeypatch, r, modulus, cap, tags, d, width):
+    """The real spectra are phi-invariant, so the truncated DP keeps one
+    column per orbit of <-1, phi>: 6 / 14 / 26 at r = 3 / 4 / 5.  The full
+    DP at q = 9 pulls the group of t by passes, one class at a time: at
+    1,0,1 t is alone in it, and at 2,1,1 and 2,2,1 it shares it with a
+    class that phi swaps with t, so d = 2 gives the 5 pairs {s, -s}."""
+    f = Field(r, modulus)
+    columns = _spy_columns(monkeypatch)
+    for tag in tags:
+        weight_distribution_dp(f, tag, truncate_at=cap)
+    assert columns == [width] * len(tags)
+    assert width == len(_orbits(f, d))
+
+
+@pytest.mark.parametrize("modulus", [None, (2, 0, 0, 1, 1)])
+@pytest.mark.parametrize("cap", [0, 1, 6])
+def test_dp_matches_the_unfolded_dp_on_a_phi2_invariant_spectrum(monkeypatch, modulus, cap):
+    """A spectrum at r = 4 constant on the orbits of <-1, phi^2> but not on
+    those of <-1, phi>: its classes outside GF(9) hold 7 to 9 positions and
+    pull by Newton's identities, those in GF(9), fixed by phi^2, hold 1 or
+    2 and pull alone by passes once cap reaches their size.  The DP must
+    pick d = 2 and stay exact."""
+    f = Field(4, modulus)
+    orbit_of = {x: orbit for orbit in _orbits(f, 2) for x in orbit}
+
+    def size(s):
+        low = min(orbit_of[s])
+        return 1 + low % 2 if f.pow(s, 9) in (s, f.neg(s)) else 7 + low % 3
+
+    counts = _pair_spectrum(f, size)
+    sizes = _sizes(f, counts)
+    assert any(sizes[f.pow(s, 3)] != sizes[s] for s in f.elements())
+    monkeypatch.setattr(codes, "trace_spectrum_closed", lambda field, tag: counts)
+    columns = _spy_columns(monkeypatch)
+    assert weight_distribution_dp(f, "so3", truncate_at=cap).counts == _dp_unfolded(f, "so3", cap)
+    assert columns == [len(_orbits(f, 2))]
+    assert len(_orbits(f, 1)) < columns[0] < (f.q + 1) // 2
+
+
 def test_dp_builds_the_rows_once_per_group(monkeypatch):
-    """The classes of a level that share a size share their rows R_0 and R_1.
-    At r = 5 the DP builds them at most 5r + 1 times, where a pull per class
-    builds them for each of the 122 classes."""
+    """The classes that share a size share their rows R_0 and R_1.  At r = 5
+    the DP builds them once per group of its plan, at most 6 times, where a
+    pull per class builds them for each of the 122 classes."""
     calls = []
     site_rows = codes._site_rows
 
@@ -323,7 +398,9 @@ def test_dp_builds_the_rows_once_per_group(monkeypatch):
     for tag in GROUPS:
         calls.clear()
         weight_distribution_dp(f, tag, truncate_at=6)
-        assert 0 < len(calls) <= 5 * f.r + 1, (tag, len(calls))
+        plan = codes._dp_plan(f, _sizes(f, trace_spectrum_closed(f, tag)))
+        assert calls == [n for n, _, _ in plan], tag
+        assert 0 < len(calls) <= 6, (tag, len(calls))
 
 
 @pytest.mark.parametrize("r, modulus", [
@@ -331,9 +408,8 @@ def test_dp_builds_the_rows_once_per_group(monkeypatch):
     (4, None), (4, (1, 0, 1, 1, 1)), (5, None), (5, (1, 0, 0, 0, 2, 1)),
 ])
 def test_encodings_below_each_power_of_3_are_a_subspace(r, modulus):
-    """Level k of the DP pulls only the pairs {s, -s} with s < 3^k, and its
-    last class writes only those with s < 3^(k-1): each such set must be
-    closed under + and -, and its pairs a prefix of the reps."""
+    """The encodings s < 3^k are the GF(3)-span of 1, t, ..., t^(k-1): each
+    such set is closed under + and -, and its pairs are a prefix of the reps."""
     f = Field(r, modulus)
     reps = [s for s in f.elements() if s <= f.neg(s)]
     for k in range(r + 1):
@@ -409,9 +485,7 @@ def _spy_passes(monkeypatch):
 
 
 def _classes_after_the_first_group(field, counts):
-    reps = [s for s in field.elements() if s <= field.neg(s)]
-    plan = [group for group in codes._dp_plan(field, reps, counts) if group[0]]
-    return sum(len(betas) for _, betas, _, _ in plan[1:])
+    return sum(len(betas) for _, betas, _ in codes._dp_plan(field, _sizes(field, counts))[1:])
 
 
 _PASS_SPECTRA = {
