@@ -2,11 +2,13 @@
 
 Each entry of CHECKS is (row names, largest r, check), and check(field,
 seed) returns one (pass, detail) pair per name.  An entry runs when r is at
-most its largest r; the battery refuses r past the largest in the table.
-An entry that raises VerificationError gives a failing row with the error
-for each of its names, and the entries after it still run.  Checks look
-library functions up as module globals at call time, so rebinding a name
-here reaches every call.
+most its largest r: the largest r at which it takes under 2 s, or the
+bound of a library function it calls.  Past it, each of its names gets a
+row that says so, with no pass flag.  An entry that raises
+VerificationError gives a failing row with the error for each of its
+names, and the entries after it still run.  Checks look library functions
+up as module globals at call time, so rebinding a name here reaches every
+call.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .charsums import (kloosterman_all, kloosterman_gl, kloosterman_gl_brute,
                        moment_table, prop_e_check)
 from .codes import (code_length, dual_weight_formula, dual_weights, pless_check,
                     weight_distribution_dp, weight_distribution_macwilliams)
-from .errors import UnsupportedScaleError, VerificationError
+from .errors import VerificationError
 from .field import Field
 from .groups import (GROUPS, brute_force_group, closure_spot_check, enumerate_group,
                      gauss_sum_closed, gauss_sum_enumerated, trace_spectrum,
@@ -98,34 +100,33 @@ def _property_suite(field: Field, seed: int):
 
 # (row names, largest r, check), in output order
 CHECKS = (
-    (("corollary-n",), 3, _corollary_n),
-    (("theorem-a1",), 3, lambda field, seed: _theorem_a(theorem_a1, field)),
-    (("theorem-a2",), 3, lambda field, seed: _theorem_a(theorem_a2, field)),
-    (("theorem-l",), 2, _theorem_l),
+    (("corollary-n",), 8, _corollary_n),
+    (("theorem-a1",), 7, lambda field, seed: _theorem_a(theorem_a1, field)),
+    (("theorem-a2",), 7, lambda field, seed: _theorem_a(theorem_a2, field)),
+    (("theorem-l",), 7, _theorem_l),
     (("gauss-sums",), 3, _gauss_sums),
     (("trace-spectra",), 3, _trace_spectra),
     (("enumeration",), 3, _enumeration),
     (("weight-distributions", "pless"), 2, _spectra),
-    (("prop-e",), 3, _prop_e),
-    (("gl-kloosterman",), 1, _gl_kloosterman),
+    (("prop-e",), 6, _prop_e),
+    (("gl-kloosterman",), 2, _gl_kloosterman),
     (("property-suite",), 3, _property_suite),
 )
 
 
 def battery_rows(field: Field, seed: int = 0) -> list[dict]:
-    """One {"check", "q", "pass", "detail" or "error"} row per name, in table order."""
-    top = max(largest for _, largest, _ in CHECKS)
-    if field.r > top:
-        raise UnsupportedScaleError(
-            "verify all supports r in {" + ", ".join(map(str, range(1, top + 1))) + "}")
+    """One row per name, in table order: {"check", "q", "pass", "detail" or
+    "error"}, or {"check", "q", "skipped"} past the entry's largest r."""
     rows = []
     for names, largest, check in CHECKS:
         if field.r > largest:
-            continue
-        try:
-            results = [{"pass": bool(ok), "detail": detail} for ok, detail in check(field, seed)]
-        except VerificationError as exc:
-            results = [{"pass": False, "error": str(exc)}] * len(names)
+            results = [{"skipped": f"runs at r <= {largest}"}] * len(names)
+        else:
+            try:
+                results = [{"pass": bool(ok), "detail": detail}
+                           for ok, detail in check(field, seed)]
+            except VerificationError as exc:
+                results = [{"pass": False, "error": str(exc)}] * len(names)
         rows += [{"check": name, "q": field.q, **res}
                  for name, res in zip(names, results, strict=True)]
     return rows

@@ -1,4 +1,5 @@
 import ast
+import csv
 import hashlib
 import json
 import os
@@ -84,6 +85,18 @@ def test_csv_output(runner):
     assert lines[1].startswith("so3,1,0,3")
 
 
+def test_csv_verify_all_has_a_skipped_column(runner):
+    """A skipped row leaves pass and detail empty, a verdict leaves skipped empty."""
+    result = runner.invoke(cli.main, ["verify", "all", "--q-exponent", "4", "--output", "csv"])
+    assert result.exit_code == 0
+    lines = _lines(result)
+    assert lines[0] == "check,detail,pass,q,skipped"
+    rows = {row["check"]: row for row in csv.DictReader(lines)}
+    assert rows["gauss-sums"] == {"check": "gauss-sums", "detail": "", "pass": "", "q": "81",
+                                  "skipped": "runs at r <= 3"}
+    assert rows["theorem-a1"]["pass"] == "True" and rows["theorem-a1"]["skipped"] == ""
+
+
 # ---------------------------------------------------------------------------
 # charsums commands
 
@@ -138,9 +151,9 @@ def test_enumerate_with_oracle(runner, gid):
     assert result.exit_code == 0
     body = _rows(result)[1:]
     order = group_order(3, gid)
-    assert len(body) == order + 2  # elements, count row, oracle row
+    assert len(body) == order + 1  # elements, oracle row
     assert body[0]["index"] == 0 and body[0]["e00"] == (0 if gid == "sp2" else 1)
-    assert body[-2] == {"count": order, "expected": order, "pass": True}
+    assert body[-2]["index"] == order - 1
     assert body[-1] == {"oracle": "brute-force filter", "pass": True}
 
 
@@ -250,7 +263,7 @@ def test_verify_all_r1(runner):
 
 
 def test_verify_all_rejects_large_r(runner):
-    result = runner.invoke(cli.main, ["verify", "all", "--q-exponent", "4"])
+    result = runner.invoke(cli.main, ["verify", "all", "--q-exponent", "9"])
     assert result.exit_code == 2
 
 
@@ -416,7 +429,7 @@ LEAF_TABLE = [
     (["verify", "theorem-a2", "--hmax", "2"], ["--modulus", "1,2,3"]),
     (["verify", "theorem-l", "--hmax", "2"], ["--q-exponent", "9"]),
     (["verify", "corollary-n"], ["--q-exponent", "2", "--modulus", "1,1,1"]),
-    (["verify", "all"], ["--q-exponent", "4"]),
+    (["verify", "all"], ["--q-exponent", "9"]),
 ]
 
 # Runs each argument list from stdin through CliRunner; prints
@@ -495,8 +508,9 @@ def test_leaf_commands_exit_codes_optimized():
 # modulus.  Recorded by running these calls through CliRunner at commit
 # eb55144, before the commands shared one leaf runner; the group spectrum
 # and gauss calls at r = 2 were recorded the same way at commit 018dffa,
-# before those commands called both routes directly.  A digest moves only
-# when an emitted row does.
+# before those commands called both routes directly.  The group enumerate
+# call was pinned again when its count row, which could not be false, was
+# deleted.  A digest moves only when an emitted row does.
 CONTRACT_DIGESTS = {
     "charsums moments --hmax 1":
         "7b5cf93ce9c4ac5bb7b4e251a0d2cd021c5e2d56e1dcb52add01372e8b9f119b",
@@ -505,7 +519,7 @@ CONTRACT_DIGESTS = {
     "charsums prop-e --mmax 1":
         "ca270fa1c0817625549f6d7707ba7d116e6a19c9ac26e1aec5b24f2dc052fc7f",
     "group enumerate --group sp2":
-        "1517a8b52d782c458c2106ef9b50928c8070e9b897c1df06ee8ca44035fe8e8e",
+        "be642b492eb91b1e349c722abbcd5e63909c699c34581730656ea846199f394e",
     "group spectrum --group so3":
         "4dea59980b758716d21bb5e42d5ff5d4b27adc823ecc51be9ab4c1baece17956",
     "group gauss --group so3 --a 1":
@@ -558,7 +572,7 @@ CONTRACT_ERRORS = [
     "Error: modulus [1, 2, 3] has degree 2, expected 1",
     "Error: Invalid value for '--q-exponent': 9 is not in the range 1<=x<=8.",
     "Error: modulus [1, 1, 1] is reducible over GF(3)",
-    "Error: verify all supports r in {1, 2, 3}",
+    "Error: Invalid value for '--q-exponent': 9 is not in the range 1<=x<=8.",
 ]
 
 

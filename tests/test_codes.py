@@ -1,5 +1,6 @@
 import ast
 from math import comb
+from operator import mul
 from pathlib import Path
 from random import Random
 
@@ -19,7 +20,7 @@ from klc.codes import (
     weight_distribution_macwilliams,
 )
 from klc.errors import UnsupportedScaleError, VerificationError
-from klc.field import Field
+from klc.field import Field, _unpack
 from klc.groups import GROUPS, trace_spectrum, trace_spectrum_closed
 
 # ---------------------------------------------------------------------------
@@ -441,18 +442,34 @@ def test_dp_reaches_the_slot_bound(monkeypatch, r, cap):
 
 @pytest.mark.parametrize("r, cap", [(3, 6), (4, 6), (4, 12)])
 def test_dp_subset_shifts_may_carry_past_their_slots(monkeypatch, r, cap):
-    """The T_w of a group are never masked, so their slots need no bound.
-    Here the last rep of the top level holds 128 positions and is pulled
-    first; every other rep of that level holds one, and they pull as one
-    group of 3^(r-1) - 1 classes, whose T_w sum up to C(k, w) 2^w shifted
-    columns.  Their largest coefficients then pass what a slot holds, by
-    about 24 times at r = 3 and 5.7 * 10^4 times at r = 4, cap 6; the
-    counts must still be exact."""
+    """The T_w of a group and their products P T_w are never masked, so
+    their slots need no bound.  Here the last rep of the top level holds 128
+    positions and is pulled first; every other rep of that level holds
+    cap + 1 > cap, so they pull as one group by Newton's identities.  The
+    pull is linear in the state slot by slot, so a spy runs it on each
+    slot's integers alone, unmasked and with the unit vector at w for the
+    products, to read the coefficients of T_w; some coefficient of some
+    P T_w passes what a slot holds, and the counts must still be exact."""
     f = Field(r)
     last = max(s for s in range(3 ** (r - 1), f.q) if s <= f.neg(s))
-    counts = _pair_spectrum(f, lambda s: 128 if s == last else int(s >= 3 ** (r - 1)))
+    counts = _pair_spectrum(f, lambda s: 128 if s == last else (cap + 1) * (s >= 3 ** (r - 1)))
     monkeypatch.setattr(codes, "trace_spectrum_closed", lambda field, tag: counts)
+    pull, carried = codes._pull_by_newton, []
+
+    def spying(state, shift, k, products, nout, mask):
+        nbytes = mask.bit_length() // (8 * (cap + 1))  # both pulls are at width cap
+        slots = max(col.bit_length() for col in state) // (8 * nbytes) + 1
+        for plane in zip(*(_unpack(col, slots, nbytes) for col in state)):
+            for w in range(1, len(products)):
+                t = pull(list(plane), shift, k, [0] * w + [1], None, -1)
+                top = max(max(t), *(sum(map(mul, mults, map(t.__getitem__, cols)))
+                                    for cols, mults in shift))
+                carried.append(top >> 8 * nbytes > 0)
+        return pull(state, shift, k, products, nout, mask)
+
+    monkeypatch.setattr(codes, "_pull_by_newton", spying)
     assert weight_distribution_dp(f, "so3", truncate_at=cap).counts == _dp_unfolded(f, "so3", cap)
+    assert any(carried)
 
 
 @pytest.mark.parametrize("r, cap", [(1, None), (2, None), (5, 6)])
