@@ -14,9 +14,9 @@ from .codes import (WeightDistribution, code_length, dual_codeword, dual_spectru
 from .eisenstein import CycInt, additive_char, char_sum
 from .errors import FieldConfigError, UnsupportedScaleError, VerificationError
 from .field import Field, default_modulus, is_irreducible
-from .groups import (brute_force_group, closure_spot_check, enumerate_group,
-                     gauss_sum_closed, gauss_sum_enumerated, group_order, iter_group,
-                     mat_mul, mat_trace, trace_spectrum, trace_spectrum_closed)
+from .groups import (brute_force_group, enumerate_group, gauss_sum_closed,
+                     gauss_sum_enumerated, group_order, iter_group, mat_mul, mat_trace,
+                     trace_spectrum, trace_spectrum_closed)
 from .moments import RecursionReport, corollary_n, theorem_a1, theorem_a2, theorem_l
 
 __version__ = "0.1.0"
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CycInt", "Field", "MomentTable", "RecursionReport", "WeightDistribution",
     "FieldConfigError", "UnsupportedScaleError", "VerificationError",
-    "additive_char", "brute_force_group", "char_sum", "closure_spot_check", "code_length",
+    "additive_char", "brute_force_group", "char_sum", "code_length",
     "corollary_n", "default_modulus", "delta_table", "delta_table_brute", "dual_codeword",
     "dual_spectrum", "dual_weight_formula", "dual_weights", "enumerate_group",
     "gauss_sum_closed", "gauss_sum_enumerated", "group_order", "is_irreducible",

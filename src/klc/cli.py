@@ -1,12 +1,11 @@
 """Command-line interface.
 
-Every leaf command takes --q-exponent/--modulus to pick the field,
---output json|csv to pick the row format, and --seed, which every header
-echoes but only the closure spot checks of `verify all` read.  JSON output
-is one object per line with sorted keys, preceded by a header row that
-echoes the configuration and carries the only timestamp; reruns with
-identical flags are byte-identical apart from that line.  CSV output is a
-flat, lossy convenience rendering of the same rows.
+Every leaf command takes --q-exponent/--modulus to pick the field and
+--output json|csv to pick the row format.  Every check is deterministic.
+JSON output is one object per line with sorted keys, preceded by a header
+row that names the command and the field and carries the only timestamp;
+reruns with identical flags are byte-identical apart from that line.  CSV
+output is a flat, lossy convenience rendering of the same rows.
 
 Exit status: 0 on success, 1 when any emitted verification row carries a
 false equal/pass flag, 2 on usage errors.  A `verify all` check that fails
@@ -42,8 +41,9 @@ _FIELD_OPTIONS = (
                  help="Modulus coefficients, constant term first, comma separated."),
     click.option("--output", type=click.Choice(["json", "csv"]), default="json",
                  show_default=True, help="Row format."),
-    click.option("--seed", type=int, default=0, show_default=True,
-                 help="Seed for randomized spot checks."),
+    # Ignored: perfbench/run.py's klc_args passes --seed N to every command,
+    # and perfbench/ changes only with the benchmark (ROADMAP items 1b, 17).
+    click.option("--seed", type=int, hidden=True, expose_value=False),
 )
 
 
@@ -67,10 +67,10 @@ def _field(q_exponent: int, modulus: str | None) -> Field:
     return _wrap(lambda: Field(q_exponent, coeffs))
 
 
-def _emit(command: str, field: Field, output: str, seed: int, rows: list[dict]) -> None:
+def _emit(command: str, field: Field, output: str, rows: list[dict]) -> None:
     if output == "json":
         header = {"event": "run", "command": command, "q": field.q,
-                  "modulus": list(field.modulus), "seed": seed,
+                  "modulus": list(field.modulus),
                   "timestamp": datetime.now(timezone.utc).isoformat()}
         for row in (header, *rows):
             click.echo(json.dumps(row, sort_keys=True))
@@ -82,7 +82,7 @@ def _emit(command: str, field: Field, output: str, seed: int, rows: list[dict]) 
 
 
 def leaf(group: click.Group, name: str, *options):
-    """Register body(field, seed, **opts) -> rows as the command `group name`.
+    """Register body(field, **opts) -> rows as the command `group name`.
 
     The command takes the shared field options and then `options`, builds
     the field, runs the body with errors mapped by _wrap, writes the rows
@@ -91,10 +91,10 @@ def leaf(group: click.Group, name: str, *options):
     command = f"{group.name} {name}"
 
     def register(body):
-        def run(q_exponent, modulus, output, seed, **opts):
+        def run(q_exponent, modulus, output, **opts):
             field = _field(q_exponent, modulus)
-            rows = _wrap(lambda: body(field, seed, **opts))
-            _emit(command, field, output, seed, rows)
+            rows = _wrap(lambda: body(field, **opts))
+            _emit(command, field, output, rows)
             if any(row.get(key) is False for row in rows for key in _FLAG_KEYS):
                 sys.exit(1)
 
@@ -127,14 +127,14 @@ _HMAX = click.option("--hmax", type=click.IntRange(1, _MAX_HMAX), default=4, sho
 
 @leaf(charsums_cmd, "moments",
       click.option("--hmax", type=click.IntRange(0, _MAX_HMAX), default=8, show_default=True))
-def charsums_moments(field, seed, hmax):
+def charsums_moments(field, hmax):
     """Emit the four moment families for h = 0..hmax."""
     return moment_table(field, hmax).rows()
 
 
 @leaf(charsums_cmd, "salie",
       click.option("--hmax", type=click.IntRange(1, _SALIE_MAX_H), default=2, show_default=True))
-def charsums_salie(field, seed, hmax):
+def charsums_salie(field, hmax):
     """Check MK^h against the Salie recurrence (stated for prime q) at every q;
     exit 1 when a row is unequal."""
     return [{"q": x.q, "h": x.h, "lhs": str(x.lhs), "rhs": str(x.rhs), "equal": x.equal}
@@ -143,7 +143,7 @@ def charsums_salie(field, seed, hmax):
 
 @leaf(charsums_cmd, "prop-e",
       click.option("--mmax", type=click.IntRange(0, _DELTA_MAX_M), default=4, show_default=True))
-def charsums_prop_e(field, seed, mmax):
+def charsums_prop_e(field, mmax):
     """Check the twisted moment identity against the tuple counts delta."""
     return [{"q": x.q, "m": x.m, "beta": x.beta, "lhs": str(x.lhs), "rhs": str(x.rhs),
              "equal": x.equal} for x in prop_e_check(field, mmax)]
@@ -152,7 +152,7 @@ def charsums_prop_e(field, seed, mmax):
 @leaf(group_cmd, "enumerate", _GROUP,
       click.option("--oracle", is_flag=True,
                    help="Cross-check against the 3^9 / 3^4 filter (q = 3 only)."))
-def group_enumerate(field, seed, gid, oracle):
+def group_enumerate(field, gid, oracle):
     """Emit the group elements as rows of enc-integer grids (q <= 27)."""
     if oracle and field.q != 3:
         raise click.UsageError("--oracle requires --q-exponent 1")
@@ -167,7 +167,7 @@ def group_enumerate(field, seed, gid, oracle):
 
 
 @leaf(group_cmd, "spectrum", _GROUP)
-def group_spectrum(field, seed, gid):
+def group_spectrum(field, gid):
     """Trace spectrum by enumeration, checked against the closed forms."""
     enumerated = trace_spectrum(field, gid)
     closed = trace_spectrum_closed(field, gid)
@@ -181,7 +181,7 @@ def group_spectrum(field, seed, gid):
 
 @leaf(group_cmd, "gauss", _GROUP,
       click.option("--a", "a_enc", type=int, required=True, help="Unit a as an enc integer."))
-def group_gauss(field, seed, gid, a_enc):
+def group_gauss(field, gid, a_enc):
     """The exponential sum sum_w lambda(a Tr w), two ways."""
     closed = gauss_sum_closed(field, gid, a_enc)  # rejects a non-unit a
     spectrum = gauss_sum_enumerated(field, gid, a_enc)
@@ -192,7 +192,7 @@ def group_gauss(field, seed, gid, a_enc):
 
 
 @leaf(code_cmd, "dual-spectrum", _CODE)
-def code_dual_spectrum(field, seed, tag):
+def code_dual_spectrum(field, tag):
     """Weight spectrum of the q-word dual code."""
     return [{"code": tag, "q": field.q, "weight": w, "count": c}
             for w, c in dual_spectrum(field, tag).items()]
@@ -203,7 +203,7 @@ def code_dual_spectrum(field, seed, tag):
                    show_default=True),
       click.option("--truncate", type=int, default=None,
                    help="Emit only C_0..C_J (dp method only)."))
-def code_spectrum(field, seed, tag, method, truncate):
+def code_spectrum(field, tag, method, truncate):
     """Weight distribution of the code by the chosen method."""
     if method == "dp":
         return weight_distribution_dp(field, tag, truncate_at=truncate).rows(field.q)
@@ -214,7 +214,7 @@ def code_spectrum(field, seed, tag, method, truncate):
 
 @leaf(code_cmd, "pless", _CODE,
       click.option("--h", "h", type=click.IntRange(0, 8), required=True))
-def code_pless(field, seed, tag, h):
+def code_pless(field, tag, h):
     """Check the h-th Pless power moment for the code."""
     rep = pless_check(field, tag, h)
     return [{"code": rep.code, "q": rep.q, "h": rep.h, "lhs": str(rep.lhs),
@@ -222,33 +222,33 @@ def code_pless(field, seed, tag, h):
 
 
 @leaf(verify_cmd, "theorem-a1", _HMAX)
-def verify_a1(field, seed, hmax):
+def verify_a1(field, hmax):
     """Moment recursion from the SO(3,q) code."""
     return [rep.row() for rep in theorem_a1(field, hmax)]
 
 
 @leaf(verify_cmd, "theorem-a2", _HMAX)
-def verify_a2(field, seed, hmax):
+def verify_a2(field, hmax):
     """Moment recursion from the O(3,q) code."""
     return [rep.row() for rep in theorem_a2(field, hmax)]
 
 
 @leaf(verify_cmd, "theorem-l", _HMAX)
-def verify_l(field, seed, hmax):
+def verify_l(field, hmax):
     """Square-moment identity from the Sp(2,q) code."""
     return [rep.row() for rep in theorem_l(field, hmax)]
 
 
 @leaf(verify_cmd, "corollary-n")
-def verify_n(field, seed):
+def verify_n(field):
     """Closed forms of the first moments."""
     return [rep.row() for rep in corollary_n(field)]
 
 
 @leaf(verify_cmd, "all")
-def verify_all(field, seed):
+def verify_all(field):
     """Run the whole battery appropriate to this field size."""
-    return battery_rows(field, seed)
+    return battery_rows(field)
 
 
 if __name__ == "__main__":

@@ -195,7 +195,6 @@ def pless_sum(n: int, h: int, counts) -> Fraction:
 class WeightDistribution(NamedTuple):
     code: str
     counts: tuple[int, ...]
-    truncated_at: int | None = None
 
     def rows(self, q: int) -> list[dict]:
         return [{"code": self.code, "q": q, "j": j, "count": str(c)}
@@ -469,8 +468,7 @@ def weight_distribution_dp(field: Field, tag: str,
             hits = Counter(map(col_of.__getitem__, itemgetter(*signed)(rows[s])))
             shift.append((list(hits), list(hits.values())))
         state = _pull_by_newton(state, shift, k, products, nout, mask)
-    return WeightDistribution(code=tag, counts=tuple(_unpack(state[0], width + 1, nbytes)),
-                              truncated_at=truncate_at)
+    return WeightDistribution(code=tag, counts=tuple(_unpack(state[0], width + 1, nbytes)))
 
 
 def _krawtchouk_row(n: int, x: int) -> list[int]:
@@ -513,7 +511,7 @@ def weight_distribution_macwilliams(field: Field, tag: str) -> WeightDistributio
                 f"MacWilliams sum for {tag} at q={q} not divisible by q at degree {j}"
             )
         counts.append(v // q)
-    return WeightDistribution(code=tag, counts=tuple(counts), truncated_at=None)
+    return WeightDistribution(code=tag, counts=tuple(counts))
 
 
 # ---------------------------------------------------------------------------

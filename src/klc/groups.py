@@ -75,7 +75,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from random import Random
 from typing import Iterator
 
 from .charsums import delta_table, kloosterman_all
@@ -289,8 +288,9 @@ def enumerate_group(field: Field, gid: str) -> tuple[Mat, ...]:
     taken from the cached SO(3, q) in the canonical cell order: rho is
     checked once, and rho times a checked element lies in O(3, q) by
     closure.  On top of that, checks that the element count matches the
-    closed-form order and that no element was emitted twice.  Guarded to
-    q <= 27; use iter_group to stream larger fields.
+    closed-form order and that no element was emitted twice: |G| distinct
+    members of G are G itself, so the result is also closed under
+    products.  Guarded to q <= 27; use iter_group to stream larger fields.
     """
     gid = _check_gid(gid)
     if field.q > _ENUMERATE_MAX_Q:
@@ -403,17 +403,3 @@ def gauss_sum_closed(field: Field, gid: str, a: int) -> CycInt:
         raise VerificationError(f"O(3,q) exponential sum not real at q={field.q}, a={a}")
     return val
 
-
-def closure_spot_check(field: Field, gid: str, pairs: int = 100, seed: int = 0) -> bool:
-    """Multiply `pairs` random pairs of enumerated elements and confirm the
-    products still satisfy the defining relation."""
-    gid = _check_gid(gid)
-    elems = enumerate_group(field, gid)
-    rng = Random(seed)
-    check = _PREDICATES[gid]
-    for _ in range(pairs):
-        u = elems[rng.randrange(len(elems))]
-        v = elems[rng.randrange(len(elems))]
-        if not check(field, mat_mul(field, u, v)):
-            return False
-    return True

@@ -54,7 +54,6 @@ def test_json_header_and_rows(runner):
     assert header["event"] == "run"
     assert header["command"] == "verify corollary-n"
     assert header["q"] == 3 and header["modulus"] == [0, 1]
-    assert header["seed"] == 0
     assert "timestamp" in header
     body = rows[1:]
     assert [row["family"] for row in body] == ["SK", "T0SK", "T12SK"]
@@ -349,7 +348,8 @@ def test_public_names_resolve():
     ("klc.field.Field", "from_coeffs"), ("klc.groups", "check_trace_spectrum"),
     ("klc.groups", "check_gauss_sum"), ("klc.groups", "SpectrumReport"),
     ("klc.groups", "GaussReport"), ("klc.codes", "_check_tag"),
-    ("klc.charsums", "_SALIE_MAX_TUPLES"),
+    ("klc.charsums", "_SALIE_MAX_TUPLES"), ("klc.groups", "closure_spot_check"),
+    ("klc.codes.WeightDistribution", "truncated_at"),
 ])
 def test_unreached_functions_are_gone(module, name):
     """Functions that no command, battery row or other library function
@@ -477,6 +477,19 @@ def _check_table(outcomes):
 
 def test_leaf_table_covers_every_command():
     assert sorted(tuple(good[:2]) for good, _ in LEAF_TABLE) == sorted(_leaf_commands(cli.main))
+
+
+def test_hidden_seed_flag_changes_nothing(runner):
+    """perfbench/run.py passes --seed N to every command: each accepts it,
+    prints the body it prints without it, and does not list it in --help."""
+    for good, _ in LEAF_TABLE:
+        plain = runner.invoke(cli.main, good)
+        seeded = runner.invoke(cli.main, good + ["--seed", "7"])
+        assert plain.exit_code == seeded.exit_code == 0, good
+        assert seeded.output.split("\n", 1)[1] == plain.output.split("\n", 1)[1], good
+        assert "seed" not in json.loads(seeded.output.split("\n", 1)[0]), good
+        help_text = runner.invoke(cli.main, [*good[:2], "--help"]).output
+        assert "--q-exponent" in help_text and "--seed" not in help_text, good
 
 
 def test_leaf_commands_exit_codes(runner):
