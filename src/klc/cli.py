@@ -72,8 +72,11 @@ def _emit(command: str, field: Field, output: str, rows: list[dict]) -> None:
         header = {"event": "run", "command": command, "q": field.q,
                   "modulus": list(field.modulus),
                   "timestamp": datetime.now(timezone.utc).isoformat()}
-        for row in (header, *rows):
-            click.echo(json.dumps(row, sort_keys=True))
+        # buffered writes and one flush, where click.echo flushes every line:
+        # group enumerate prints 39,312 rows for O(3, 27)
+        sys.stdout.writelines(json.dumps(row, sort_keys=True) + "\n"
+                              for row in (header, *rows))
+        sys.stdout.flush()
     elif rows:
         keys = sorted({k for row in rows for k in row})
         writer = csv.DictWriter(sys.stdout, fieldnames=keys, restval="")

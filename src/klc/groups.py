@@ -49,16 +49,22 @@ once per (a, b).
 Element order is canonical and deterministic: for O(3, q) the cells in the
 order (rr=0, Q), (rr=1, Q), (rr=0, rho Q), (rr=1, rho Q), and inside a
 cell lexicographic by (enc(A), enc(h), enc(h')); for Sp(2, q)
-lexicographic by (enc(a), enc(b), enc(c) or enc(d)).  iter_group checks
-every element it writes out against the group's defining relation (for
-O(3, q) its six entry equations, see is_orthogonal).  enumerate_group
+lexicographic by (enc(a), enc(b), enc(c) or enc(d)).
+
+Every element written out is checked by one call of its group's
+predicate: the six entry equations of is_orthogonal for O(3, q), those
+and det = 1 in the one function is_special_orthogonal for SO(3, q), and
+det = 1 for Sp(2, q).  iter_group is the streaming path: it checks each
+element as it yields it, at any q, and it is the oracle for the bulk
+path.  enumerate_group (q <= 27) is the bulk path: it writes SO(3, q) or
+Sp(2, q) out into a tuple and then maps the predicate over the tuple.  It
 takes O(3, q) from the checked SO(3, q) instead of a second walk: in the
 canonical order it is S[:n0] + rho S[n0:] + rho S[:n0] + S[n0:], with S
 the SO(3, q) tuple and n0 = q(q - 1) the size of its rr = 0 cell.  Each
 rho w shares w's top and middle rows and negates its last row; rho is
-checked once, and rho times a member is a member by closure.  Streaming
-O(3, q) through iter_group still writes out and checks every element,
-and it is the oracle for that path.
+checked once, and rho times a member is a member by closure.  It pauses
+the cyclic garbage collector while it builds, since it allocates only
+tuples of ints and of tuples, which form no cycles.
 
 The membership checks read each entry's log once and form each product
 of two entries as one antilog lookup at the sum of their logs, as
@@ -73,8 +79,9 @@ the oracles.
 
 from __future__ import annotations
 
+import gc
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 from typing import Iterator
 
 from .charsums import delta_table, kloosterman_all
@@ -176,16 +183,34 @@ def is_orthogonal(field: Field, w: Mat) -> bool:
 
 
 def is_special_orthogonal(field: Field, w: Mat) -> bool:
-    return is_orthogonal(field, w) and mat_det(field, w) == 1
+    """is_orthogonal(field, w) and mat_det(field, w) == 1 in one call: the
+    nine entry logs are read once and serve both the six equations and
+    mat_det's cofactor expansion along the top row."""
+    log, exp2, rows, neg = field._log, field._exp2, field._rows, field._neg
+    (a, b, c), (d, e, f), (g, h, i) = w
+    a, b, c, d, e, f, g, h, i = (log[a], log[b], log[c], log[d], log[e], log[f],
+                                 log[g], log[h], log[i])
+    if not (exp2[c + c] == exp2[a + b] and exp2[f + f] == exp2[d + e]
+            and exp2[i + i] == rows[exp2[g + h]][1]
+            and rows[rows[exp2[a + e]][exp2[b + d]]][exp2[c + f]] == 1
+            and rows[rows[exp2[a + h]][exp2[b + g]]][exp2[c + i]] == 0
+            and rows[rows[exp2[d + h]][exp2[e + g]]][exp2[f + i]] == 0):
+        return False
+    m1 = exp2[a + log[rows[exp2[e + i]][neg[exp2[f + h]]]]]
+    m2 = exp2[b + log[rows[exp2[d + i]][neg[exp2[f + g]]]]]
+    m3 = exp2[c + log[rows[exp2[d + h]][neg[exp2[e + g]]]]]
+    return rows[rows[m1][neg[m2]]][m3] == 1
 
 
 def is_symplectic(field: Field, w: Mat) -> bool:
     """Whether w preserves the alternating form [[0,1],[-1,0]].
 
     For 2x2 matrices the single nontrivial entry of w^T Jhat w is det(w),
-    so this is det == 1.
+    so this is det == 1, computed inline as in mat_det.
     """
-    return mat_det(field, w) == 1
+    log, exp2, rows, neg = field._log, field._exp2, field._rows, field._neg
+    (a, b), (c, d) = w
+    return rows[exp2[log[a] + log[d]]][neg[exp2[log[b] + log[c]]]] == 1
 
 
 _PREDICATES = {"so3": is_special_orthogonal, "o3": is_orthogonal, "sp2": is_symplectic}
@@ -255,14 +280,18 @@ def _iter_cells(field: Field, gid: str) -> Iterator[Mat]:
                     yield ((ah2, exp2[la + l1], exp2[la + l2]), mid, low)
 
 
+def _construction_bug(field: Field, gid: str, w: Mat) -> VerificationError:
+    return VerificationError(
+        f"construction bug: {gid} element {w} fails the defining relation at q={field.q}")
+
+
 def iter_group(field: Field, gid: str) -> Iterator[Mat]:
     """Stream the group in canonical order, validating each element."""
     gid = _check_gid(gid)
     check = _PREDICATES[gid]
     for w in _iter_cells(field, gid):
         if not check(field, w):
-            raise VerificationError(
-                f"construction bug: {gid} element {w} fails the defining relation at q={field.q}")
+            raise _construction_bug(field, gid, w)
         yield w
 
 
@@ -283,38 +312,53 @@ def _rho_times(field: Field, elems: tuple[Mat, ...]) -> tuple[Mat, ...]:
 def enumerate_group(field: Field, gid: str) -> tuple[Mat, ...]:
     """The whole group as a tuple in canonical order, with global checks.
 
-    SO(3, q) and Sp(2, q) come from iter_group, which writes each element
-    out from its cell and checks it.  O(3, q) is SO(3, q) and rho SO(3, q),
-    taken from the cached SO(3, q) in the canonical cell order: rho is
-    checked once, and rho times a checked element lies in O(3, q) by
-    closure.  On top of that, checks that the element count matches the
-    closed-form order and that no element was emitted twice: |G| distinct
-    members of G are G itself, so the result is also closed under
-    products.  Guarded to q <= 27; use iter_group to stream larger fields.
+    SO(3, q) and Sp(2, q) are written out from their cells into a tuple,
+    and then each element is checked with one call of the group's
+    predicate.  O(3, q) is SO(3, q) and rho SO(3, q), taken from the cached
+    SO(3, q) in the canonical cell order: rho is checked once, and rho
+    times a checked element lies in O(3, q) by closure.  On top of that,
+    checks that the element count matches the closed-form order and that
+    no element was emitted twice: |G| distinct members of G are G itself,
+    so the result is also closed under products.  Guarded to q <= 27; use
+    iter_group to stream larger fields.
+
+    The cyclic garbage collector is paused for the whole build and set
+    back as it was found.  The build allocates only tuples of ints and of
+    tuples, which form no cycles, so a collection would free nothing; left
+    running, it made 144 collections while the three groups were built at
+    q = 27.
     """
     gid = _check_gid(gid)
     if field.q > _ENUMERATE_MAX_Q:
         raise UnsupportedScaleError(
             f"full materialization bounded at q <= {_ENUMERATE_MAX_Q}, got q = {field.q}"
         )
-    if gid == "o3":
-        rho = ((1, 0, 0), (0, 1, 0), (0, 0, field._neg[1]))
-        if not _PREDICATES["o3"](field, rho):
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        if gid == "o3":
+            rho = ((1, 0, 0), (0, 1, 0), (0, 0, field._neg[1]))
+            if not _PREDICATES["o3"](field, rho):
+                raise _construction_bug(field, gid, rho)
+            so3 = enumerate_group(field, "so3")
+            n0 = field.q * (field.q - 1)  # the rr = 0 cell, q(A, h)
+            elems = (so3[:n0] + _rho_times(field, so3[n0:])
+                     + _rho_times(field, so3[:n0]) + so3[n0:])
+        else:
+            elems = tuple(_iter_cells(field, gid))
+            check = _PREDICATES[gid]
+            if not all(map(check, repeat(field), elems)):
+                raise _construction_bug(field, gid, next(w for w in elems if not check(field, w)))
+        expected = group_order(field.q, gid)
+        if len(elems) != expected:
             raise VerificationError(
-                f"construction bug: o3 element {rho} fails the defining relation at q={field.q}")
-        so3 = enumerate_group(field, "so3")
-        n0 = field.q * (field.q - 1)  # the rr = 0 cell, q(A, h)
-        elems = (so3[:n0] + _rho_times(field, so3[n0:])
-                 + _rho_times(field, so3[:n0]) + so3[n0:])
-    else:
-        elems = tuple(iter_group(field, gid))
-    expected = group_order(field.q, gid)
-    if len(elems) != expected:
-        raise VerificationError(
-            f"{gid} at q={field.q}: enumerated {len(elems)} elements, order says {expected}"
-        )
-    if len(set(elems)) != len(elems):
-        raise VerificationError(f"{gid} at q={field.q}: enumeration emitted duplicates")
+                f"{gid} at q={field.q}: enumerated {len(elems)} elements, order says {expected}"
+            )
+        if len(set(elems)) != len(elems):
+            raise VerificationError(f"{gid} at q={field.q}: enumeration emitted duplicates")
+    finally:
+        if collecting:
+            gc.enable()
     return elems
 
 

@@ -1,3 +1,4 @@
+import gc
 from itertools import islice, product
 from random import Random
 
@@ -79,9 +80,16 @@ def _det_by_cofactors(field, x):
 @pytest.mark.parametrize("r, modulus", [(1, None), (1, [1, 1]), (2, None), (2, [2, 1, 1])],
                          ids=["r1", "r1-11", "r2", "r2-211"])
 def test_mat_det_matches_cofactors_on_every_2x2(r, modulus):
+    """mat_det, and is_symplectic with its determinant inline, against the
+    cofactor oracle on every 2x2 matrix."""
     f = Field(r, modulus)
+    members = 0
     for w in product(product(f.elements(), repeat=2), repeat=2):
-        assert mat_det(f, w) == _det_by_cofactors(f, w), w
+        det = _det_by_cofactors(f, w)
+        assert mat_det(f, w) == det, w
+        assert is_symplectic(f, w) == (det == 1), w
+        members += det == 1
+    assert members == group_order(f.q, "sp2")
 
 
 @pytest.mark.parametrize("r, modulus", [(2, None), (2, [2, 1, 1]), (3, None), (3, [1, 0, 2, 1])],
@@ -236,20 +244,58 @@ def test_enumeration_and_spectrum_call_no_field_addition(monkeypatch):
 
 
 @pytest.mark.parametrize("gid", GROUPS)
-def test_iter_group_is_the_one_validation_site(gid, monkeypatch):
-    """An element the predicate rejects is a construction bug in every group,
-    and the CLI reports it as exit 1 without a traceback."""
+def test_predicates_reject_on_both_paths(gid, monkeypatch):
+    """An element the group's _PREDICATES entry rejects is a construction bug
+    on the streaming path (iter_group) and on the bulk path
+    (enumerate_group), and the CLI reports it as exit 1 without a
+    traceback."""
     monkeypatch.setitem(groups._PREDICATES, gid, lambda field, w: False)
+    f = Field(1)
     enumerate_group.cache_clear()
     try:
         with pytest.raises(VerificationError, match="construction bug"):
-            enumerate_group(Field(1), gid)
+            next(iter_group(f, gid))
+        with pytest.raises(VerificationError, match="construction bug"):
+            enumerate_group(f, gid)
         result = CliRunner().invoke(cli.main, ["group", "enumerate", "--group", gid])
     finally:
         enumerate_group.cache_clear()
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
+
+
+def test_enumeration_leaves_the_collector_as_it_found_it(monkeypatch):
+    """enumerate_group pauses the cyclic collector for the whole build,
+    across the nested SO(3, q) build of a cold O(3, q) call, and then sets
+    it back as the caller had it, also when a check raises."""
+    f = Field(2)
+    paused = []
+    rho_times = groups._rho_times
+
+    def spying(field, elems):
+        paused.append(not gc.isenabled())
+        return rho_times(field, elems)
+
+    monkeypatch.setattr(groups, "_rho_times", spying)
+    assert gc.isenabled()
+    enumerate_group.cache_clear()
+    try:
+        enumerate_group(f, "o3")
+        assert paused == [True, True] and gc.isenabled()
+        with monkeypatch.context() as patch:
+            patch.setitem(groups._PREDICATES, "sp2", lambda field, w: False)
+            with pytest.raises(VerificationError, match="construction bug"):
+                enumerate_group(f, "sp2")
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            enumerate_group(f, "sp2")
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+    finally:
+        enumerate_group.cache_clear()
 
 
 @pytest.mark.parametrize("gid", GROUPS)
@@ -410,14 +456,22 @@ def _orthogonal_by_definition(field, w):
 
 
 def test_is_orthogonal_matches_the_definition_on_every_matrix_at_q3():
+    """is_orthogonal against w^T J w == J, and the fused
+    is_special_orthogonal against its parts, is_orthogonal and mat_det, and
+    against the by-products definitions, on all 3^9 matrices."""
     f = Field(1)
     rows = list(product(range(3), repeat=3))
-    members = 0
+    members = special = 0
     for w in product(rows, repeat=3):
         verdict = is_orthogonal(f, w)
         assert verdict == _orthogonal_by_definition(f, w), w
+        fused = is_special_orthogonal(f, w)
+        assert fused == (verdict and mat_det(f, w) == 1), w
+        assert fused == (verdict and _det_by_cofactors(f, w) == 1), w
         members += verdict
+        special += fused
     assert members == group_order(3, "o3")
+    assert special == group_order(3, "so3")
 
 
 @pytest.mark.parametrize("r, modulus", [(2, None), (2, [2, 1, 1]), (3, None), (3, [1, 0, 2, 1])],
@@ -476,8 +530,10 @@ def _check_against_the_definitions(field, w):
         assert is_symplectic(field, w) == _symplectic_by_definition(field, w), w
     else:
         orthogonal = _orthogonal_by_definition(field, w)
+        fused = is_special_orthogonal(field, w)
         assert is_orthogonal(field, w) == orthogonal, w
-        assert is_special_orthogonal(field, w) == (orthogonal and det == 1), w
+        assert fused == (orthogonal and det == 1), w
+        assert fused == (is_orthogonal(field, w) and mat_det(field, w) == 1), w
 
 
 @pytest.mark.parametrize("gid", GROUPS)
