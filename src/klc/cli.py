@@ -11,14 +11,23 @@ Exit status: 0 on success, 1 when any emitted verification row carries a
 false equal/pass flag, 2 on usage errors.  A `verify all` check that fails
 or raises becomes its own failing row; the remaining checks still run and
 the run exits 1.
+
+`entry` is the process entry (`klc`, `python -m klc.cli`): it runs `main`
+and then freezes the heap, so the full collections CPython runs while it
+shuts down skip every object the command built.  `main` itself sets no
+collector policy, because callers such as click's CliRunner run it inside
+their own long-lived process.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import sys
+from collections.abc import Iterable
 from datetime import datetime, timezone
+from itertools import chain
 
 import click
 
@@ -33,6 +42,8 @@ from .groups import (GROUPS, brute_force_group, enumerate_group, gauss_sum_close
 from .moments import _MAX_HMAX, corollary_n, theorem_a1, theorem_a2, theorem_l
 
 _FLAG_KEYS = ("equal", "pass")
+# json.dumps builds a new encoder per call when given any argument
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 _FIELD_OPTIONS = (
     click.option("--q-exponent", type=click.IntRange(1, _MAX_R), default=1,
@@ -67,17 +78,19 @@ def _field(q_exponent: int, modulus: str | None) -> Field:
     return _wrap(lambda: Field(q_exponent, coeffs))
 
 
-def _emit(command: str, field: Field, output: str, rows: list[dict]) -> None:
+def _emit(command: str, field: Field, output: str, rows: Iterable[dict]) -> None:
     if output == "json":
         header = {"event": "run", "command": command, "q": field.q,
                   "modulus": list(field.modulus),
                   "timestamp": datetime.now(timezone.utc).isoformat()}
-        # buffered writes and one flush, where click.echo flushes every line:
-        # group enumerate prints 39,312 rows for O(3, 27)
-        sys.stdout.writelines(json.dumps(row, sort_keys=True) + "\n"
-                              for row in (header, *rows))
+        # buffered writes and one flush, where click.echo flushes every line;
+        # rows are encoded as they come, so a streamed body never holds them all
+        encode = _ENCODER.encode
+        sys.stdout.writelines(encode(row) + "\n" for row in chain((header,), rows))
         sys.stdout.flush()
-    elif rows:
+        return
+    rows = list(rows)  # the CSV header needs every key first
+    if rows:
         keys = sorted({k for row in rows for k in row})
         writer = csv.DictWriter(sys.stdout, fieldnames=keys, restval="")
         writer.writeheader()
@@ -89,7 +102,10 @@ def leaf(group: click.Group, name: str, *options):
 
     The command takes the shared field options and then `options`, builds
     the field, runs the body with errors mapped by _wrap, writes the rows
-    and exits 1 if any row has a false equal/pass flag.
+    and exits 1 if any row has a false equal/pass flag.  The rows may be
+    any iterable of dicts, such as a generator that builds each row as it
+    is written; the body's own work, and so every error _wrap maps, must
+    then happen before it returns.
     """
     command = f"{group.name} {name}"
 
@@ -97,8 +113,16 @@ def leaf(group: click.Group, name: str, *options):
         def run(q_exponent, modulus, output, **opts):
             field = _field(q_exponent, modulus)
             rows = _wrap(lambda: body(field, **opts))
-            _emit(command, field, output, rows)
-            if any(row.get(key) is False for row in rows for key in _FLAG_KEYS):
+            flagged = []
+
+            def noted():
+                for row in rows:
+                    if any(row.get(key) is False for key in _FLAG_KEYS):
+                        flagged.append(row)
+                    yield row
+
+            _emit(command, field, output, noted())
+            if flagged:
                 sys.exit(1)
 
         for option in reversed(_FIELD_OPTIONS + options):
@@ -160,13 +184,14 @@ def group_enumerate(field, gid, oracle):
     if oracle and field.q != 3:
         raise click.UsageError("--oracle requires --q-exponent 1")
     elems = enumerate_group(field, gid)
-    rows = [{"index": i, **{f"e{a}{b}": v for a, line in enumerate(w)
+    # one row dict per element, built as it is written: O(3, 27) has 39,312
+    rows = ({"index": i, **{f"e{a}{b}": v for a, line in enumerate(w)
                             for b, v in enumerate(line)}}
-            for i, w in enumerate(elems)]
-    if oracle:
-        rows.append({"oracle": "brute-force filter",
-                     "pass": sorted(elems) == sorted(brute_force_group(field, gid))})
-    return rows
+            for i, w in enumerate(elems))
+    if not oracle:
+        return rows
+    agree = sorted(elems) == sorted(brute_force_group(field, gid))
+    return chain(rows, [{"oracle": "brute-force filter", "pass": agree}])
 
 
 @leaf(group_cmd, "spectrum", _GROUP)
@@ -254,5 +279,18 @@ def verify_all(field):
     return battery_rows(field)
 
 
+def entry() -> None:
+    """Run the CLI as a process: `main`, then gc.freeze() on the way out.
+
+    CPython runs full collections while it shuts down, even with the
+    collector disabled; frozen objects are left out of them.  After
+    `verify all --q-exponent 3` they would walk about 75k objects.
+    """
+    try:
+        main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    main()
+    entry()

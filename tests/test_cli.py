@@ -1,8 +1,10 @@
 import ast
 import csv
+import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -180,6 +182,15 @@ def test_enumerate_oracle_needs_q3(runner):
     assert result.exit_code == 2
 
 
+def test_enumerate_streams_its_rows():
+    """The body enumerates eagerly but builds each row dict only as it is
+    written, so the 39,312 rows of O(3, 27) are never held at once."""
+    rows = cli.group_enumerate(Field(2), "sp2", False)
+    assert iter(rows) is rows
+    assert next(rows) == {"index": 0, "e00": 0, "e01": 1, "e10": 2, "e11": 0}
+    assert sum(1 for _ in rows) == group_order(9, "sp2") - 1
+
+
 def test_spectrum_command(runner):
     result = runner.invoke(cli.main, ["group", "spectrum", "--group", "o3"])
     assert result.exit_code == 0
@@ -317,6 +328,58 @@ def test_cli_import_loads_no_dataclasses_or_hashlib():
     import adds neither module to what a bare interpreter holds."""
     probe = "import sys\nprint(sorted({'dataclasses', 'hashlib'} & set(sys.modules)))"
     assert _fresh_python("import klc.cli\n" + probe) == _fresh_python(probe)
+
+
+def test_main_leaves_the_collector_as_it_found_it(runner):
+    """CliRunner (like perfbench's tracer) runs main inside its own process,
+    so main neither freezes the heap nor switches the collector."""
+    was_enabled = gc.isenabled()
+    try:
+        for enable in (gc.enable, gc.disable):
+            enable()
+            enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+            for args in (["verify", "corollary-n"],
+                         ["verify", "corollary-n", "--q-exponent", "9"],
+                         ["group", "enumerate", "--group", "o3"]):
+                runner.invoke(cli.main, args)
+                assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen), args
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("args,patch,code", [
+    (["verify", "corollary-n"], "", 0),
+    (["group", "enumerate", "--group", "sp2", "--oracle"],
+     "cli.brute_force_group = lambda field, gid: []\n", 1),
+    (["verify", "corollary-n", "--q-exponent", "9"], "", 2),
+])
+def test_entry_exits_with_the_command_status_and_freezes(args, patch, code):
+    """The process entry keeps main's exit status and leaves the heap frozen."""
+    out = _fresh_python("import gc, sys\n"
+                        "import klc.cli as cli\n" + patch +
+                        f"sys.argv = ['klc', *{args!r}]\n"
+                        "before, code = gc.get_freeze_count(), 0\n"
+                        "try:\n"
+                        "    cli.entry()\n"
+                        "except SystemExit as exc:\n"
+                        "    code = exc.code\n"
+                        "print(before, code, gc.get_freeze_count() > 0)\n")
+    assert out.splitlines()[-1] == f"0 {code} True"
+
+
+def test_klc_script_is_the_module_entry():
+    """pyproject's `klc` script runs what `python -m klc.cli` runs."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ImportError:  # Python 3.10
+        script = re.search(r'^klc\s*=\s*"([^"]+)"', text, re.M).group(1)
+    else:
+        script = tomllib.loads(text)["project"]["scripts"]["klc"]
+    tree = ast.parse(Path(cli.__file__).read_text())
+    called = [node.body[0].value.func.id for node in tree.body
+              if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [f"klc.cli:{name}" for name in called] == [script] == ["klc.cli:entry"]
 
 
 def test_package_has_no_assert_statements():
