@@ -12,26 +12,30 @@ false equal/pass flag, 2 on usage errors.  A `verify all` check that fails
 or raises becomes its own failing row; the remaining checks still run and
 the run exits 1.
 
+The commands form one table: `main` is a Group of Groups of Commands, and
+each Command lists its options as Option records, which one small parser
+reads.  `main.main(args, prog_name)` runs a command and always ends in
+SystemExit with its status, the call shape of a click command, so that
+click's test runner can drive it.
+
 `entry` is the process entry (`klc`, `python -m klc.cli`): it runs `main`
 and then freezes the heap, so the full collections CPython runs while it
 shuts down skip every object the command built.  `main` itself sets no
-collector policy, because callers such as click's CliRunner run it inside
+collector policy, because callers such as a test runner run it inside
 their own long-lived process.
 """
 
 from __future__ import annotations
 
-import csv
 import gc
 import json
+import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from datetime import datetime, timezone
 from itertools import chain
+from typing import NamedTuple
 
-import click
-
-from .battery import battery_rows
 from .charsums import _DELTA_MAX_M, _SALIE_MAX_H, moment_table, prop_e_check, salie_check
 from .codes import (dual_spectrum, pless_check, weight_distribution_dp,
                     weight_distribution_macwilliams)
@@ -45,16 +49,183 @@ _FLAG_KEYS = ("equal", "pass")
 # json.dumps builds a new encoder per call when given any argument
 _ENCODER = json.JSONEncoder(sort_keys=True)
 
+
+class UsageError(Exception):
+    """Bad user input: main prints it as one `Error:` line and exits 2."""
+
+
+class Option(NamedTuple):
+    """One `--flag VALUE` of a leaf command, passed to its body as `dest`.
+
+    kind is str, int, a range of ints, a tuple of choices, or bool for a
+    flag without a value.  An option without a dest is accepted, checked
+    and ignored, and --help leaves it out.
+    """
+    flag: str
+    dest: str | None
+    kind: object = str
+    default: object = None
+    required: bool = False
+    help: str = ""
+
+
+class Command(NamedTuple):
+    """A leaf command: its help text, its options and run(**values)."""
+    help: str
+    options: tuple[Option, ...]
+    run: Callable[..., None]
+
+    usage = "[OPTIONS]"
+
+
+class Group:
+    """A named table of commands, each a Command or a further Group."""
+
+    usage, options = "[OPTIONS] COMMAND [ARGS]...", ()
+
+    def __init__(self, name: str, help: str):
+        self.name, self.help, self.commands = name, help, {}
+
+    def main(self, args=None, prog_name=None, standalone_mode=True):
+        """Run the command that args (default sys.argv[1:]) name, then raise
+        SystemExit with its status.  This is click's calling convention,
+        which its test runner uses; every run is standalone."""
+        args = list(sys.argv[1:] if args is None else args)
+        path, cmd = [prog_name or self.name], self
+        while isinstance(cmd, Group) and args and args[0] in cmd.commands:
+            path.append(args.pop(0))
+            cmd = cmd.commands[path[-1]]
+        prog = " ".join(path)
+        try:
+            code = _invoke(prog, cmd, args)
+        except UsageError as exc:
+            sys.stderr.write(f"Usage: {prog} {cmd.usage}\nTry '{prog} --help' for help.\n"
+                             f"\nError: {exc}\n")
+            code = 2
+        except BrokenPipeError:
+            # the reader went away (`klc ... | head`): drop the rest quietly
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            code = 1
+        raise SystemExit(code)
+
+
+def _invoke(prog: str, cmd: Command | Group, args: list[str]) -> int:
+    """Run cmd on the rest of the arguments; the exit status."""
+    if isinstance(cmd, Group):
+        if not args:  # a bare group prints its help, as a usage error
+            sys.stderr.write(_help(prog, cmd))
+            return 2
+        if args[0] != "--help":
+            flag = args[0].partition("=")[0]
+            raise UsageError(f"No such option '{flag}'." if flag.startswith("-")
+                             else f"No such command '{args[0]}'.")
+        values = None
+    else:
+        values = _parse(cmd.options, args)
+    if values is None:
+        sys.stdout.write(_help(prog, cmd))
+    else:
+        cmd.run(**values)
+    return 0
+
+
+def _parse(options: tuple[Option, ...], args: list[str]) -> dict | None:
+    """The body's keyword arguments from args, or None for --help.
+
+    Takes `--flag value` and `--flag=value`; a repeated option keeps its
+    last value, and only that value is checked.
+    """
+    by_flag = {opt.flag: opt for opt in options}
+    given = {}
+    rest = iter(args)
+    for arg in rest:
+        flag, eq, text = arg.partition("=")
+        opt = by_flag.get(flag)
+        if arg == "--help":
+            given[arg] = True
+        elif opt is None:
+            raise UsageError(f"No such option '{flag}'." if arg.startswith("-")
+                             else f"Got unexpected extra argument ({arg})")
+        elif opt.kind is bool:
+            if eq:
+                raise UsageError(f"Option '{flag}' does not take a value.")
+            given[flag] = True
+        elif eq:
+            given[flag] = text
+        else:
+            given[flag] = next(rest, None)
+            if given[flag] is None:
+                raise UsageError(f"Option '{flag}' requires an argument.")
+    if "--help" in given:
+        return None
+    values = {}
+    for opt in options:
+        if opt.flag in given:
+            value = _convert(opt, given[opt.flag])
+        elif opt.required:
+            raise UsageError(f"Missing option '{opt.flag}'.")
+        else:
+            value = opt.default
+        if opt.dest is not None:
+            values[opt.dest] = value
+    return values
+
+
+def _convert(opt: Option, text):
+    kind, bad = opt.kind, f"Invalid value for '{opt.flag}':"
+    if kind is str or kind is bool:
+        return text
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise UsageError(f"{bad} {text!r} is not one of {', '.join(map(repr, kind))}.")
+        return text
+    try:
+        value = int(text)
+    except ValueError:
+        raise UsageError(f"{bad} {text!r} is not a valid integer.") from None
+    if kind is not int and value not in kind:
+        raise UsageError(f"{bad} {value} is not in the range {kind.start}<=x<={kind.stop - 1}.")
+    return value
+
+
+def _help(prog: str, cmd: Command | Group) -> str:
+    """The --help text: usage, help text, options and any subcommands."""
+    rows = [_option_row(opt) for opt in cmd.options if opt.dest is not None]
+    rows.append(("--help", "Show this message and exit."))
+    text = (f"Usage: {prog} {cmd.usage}\n\n  {' '.join(cmd.help.split())}\n\n"
+            f"Options:\n{_columns(rows)}")
+    if isinstance(cmd, Group):
+        text += "\nCommands:\n" + _columns((name, " ".join(sub.help.split()))
+                                            for name, sub in sorted(cmd.commands.items()))
+    return text
+
+
+def _option_row(opt: Option) -> tuple[str, str]:
+    kind = opt.kind
+    meta = ("" if kind is bool else f" [{'|'.join(kind)}]" if isinstance(kind, tuple)
+            else " TEXT" if kind is str else " INTEGER")
+    notes = [] if opt.default is None or kind is bool else [f"default: {opt.default}"]
+    if isinstance(kind, range):
+        notes.append(f"{kind.start}<=x<={kind.stop - 1}")
+    if opt.required:
+        notes.append("required")
+    return opt.flag + meta, f"{opt.help}  [{'; '.join(notes)}]".strip() if notes else opt.help
+
+
+def _columns(rows: Iterable[tuple[str, str]]) -> str:
+    rows = list(rows)
+    width = max(len(left) for left, _ in rows)
+    return "".join(f"  {left.ljust(width)}  {right}".rstrip() + "\n" for left, right in rows)
+
+
 _FIELD_OPTIONS = (
-    click.option("--q-exponent", type=click.IntRange(1, _MAX_R), default=1,
-                 show_default=True, help="Exponent r of q = 3^r."),
-    click.option("--modulus", type=str, default=None,
-                 help="Modulus coefficients, constant term first, comma separated."),
-    click.option("--output", type=click.Choice(["json", "csv"]), default="json",
-                 show_default=True, help="Row format."),
+    Option("--q-exponent", "q_exponent", range(1, _MAX_R + 1), 1, help="Exponent r of q = 3^r."),
+    Option("--modulus", "modulus",
+           help="Modulus coefficients, constant term first, comma separated."),
+    Option("--output", "output", ("json", "csv"), "json", help="Row format."),
     # Ignored: perfbench/run.py's klc_args passes --seed N to every command,
     # and perfbench/ changes only with the benchmark (ROADMAP items 1b, 17).
-    click.option("--seed", type=int, hidden=True, expose_value=False),
+    Option("--seed", None, int),
 )
 
 
@@ -62,9 +233,9 @@ def _wrap(body):
     try:
         return body()
     except (UnsupportedScaleError, ValueError) as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     except VerificationError as exc:
-        click.echo(f"verification failure: {exc}", err=True)
+        print(f"verification failure: {exc}", file=sys.stderr)
         sys.exit(1)
 
 
@@ -74,7 +245,7 @@ def _field(q_exponent: int, modulus: str | None) -> Field:
         try:
             coeffs = [int(c) for c in modulus.split(",")]
         except ValueError:
-            raise click.UsageError(f"--modulus expects comma-separated integers, got {modulus!r}")
+            raise UsageError(f"--modulus expects comma-separated integers, got {modulus!r}")
     return _wrap(lambda: Field(q_exponent, coeffs))
 
 
@@ -83,21 +254,23 @@ def _emit(command: str, field: Field, output: str, rows: Iterable[dict]) -> None
         header = {"event": "run", "command": command, "q": field.q,
                   "modulus": list(field.modulus),
                   "timestamp": datetime.now(timezone.utc).isoformat()}
-        # buffered writes and one flush, where click.echo flushes every line;
-        # rows are encoded as they come, so a streamed body never holds them all
+        # buffered writes and one flush; rows are encoded as they come, so a
+        # streamed body never holds them all
         encode = _ENCODER.encode
         sys.stdout.writelines(encode(row) + "\n" for row in chain((header,), rows))
         sys.stdout.flush()
         return
     rows = list(rows)  # the CSV header needs every key first
     if rows:
+        import csv
+
         keys = sorted({k for row in rows for k in row})
         writer = csv.DictWriter(sys.stdout, fieldnames=keys, restval="")
         writer.writeheader()
         writer.writerows(rows)
 
 
-def leaf(group: click.Group, name: str, *options):
+def leaf(group: Group, name: str, *options: Option):
     """Register body(field, **opts) -> rows as the command `group name`.
 
     The command takes the shared field options and then `options`, builds
@@ -125,42 +298,34 @@ def leaf(group: click.Group, name: str, *options):
             if flagged:
                 sys.exit(1)
 
-        for option in reversed(_FIELD_OPTIONS + options):
-            run = option(run)
-        group.command(name, help=body.__doc__)(run)
+        group.commands[name] = Command(body.__doc__, _FIELD_OPTIONS + options, run)
         return body
 
     return register
 
 
-@click.group()
-def main():
-    """Exact verification of Kloosterman-moment and ternary-code identities."""
-
-
-charsums_cmd, group_cmd, code_cmd, verify_cmd = (click.Group(name, help=text) for name, text in (
+main = Group("klc", "Exact verification of Kloosterman-moment and ternary-code identities.")
+charsums_cmd, group_cmd, code_cmd, verify_cmd = (Group(name, text) for name, text in (
     ("charsums", "Kloosterman sums, moments and related character sums."),
     ("group", "Enumeration, trace spectra and exponential sums of the groups."),
     ("code", "Weight data of the ternary codes attached to the groups."),
     ("verify", "Identity checkers; exit 1 when any reported side differs."),
 ))
 for _sub in (charsums_cmd, group_cmd, code_cmd, verify_cmd):
-    main.add_command(_sub)
+    main.commands[_sub.name] = _sub
 
-_GROUP = click.option("--group", "gid", type=click.Choice(GROUPS), required=True)
-_CODE = click.option("--code", "tag", type=click.Choice(GROUPS), required=True)
-_HMAX = click.option("--hmax", type=click.IntRange(1, _MAX_HMAX), default=4, show_default=True)
+_GROUP = Option("--group", "gid", GROUPS, required=True)
+_CODE = Option("--code", "tag", GROUPS, required=True)
+_HMAX = Option("--hmax", "hmax", range(1, _MAX_HMAX + 1), 4)
 
 
-@leaf(charsums_cmd, "moments",
-      click.option("--hmax", type=click.IntRange(0, _MAX_HMAX), default=8, show_default=True))
+@leaf(charsums_cmd, "moments", Option("--hmax", "hmax", range(0, _MAX_HMAX + 1), 8))
 def charsums_moments(field, hmax):
     """Emit the four moment families for h = 0..hmax."""
     return moment_table(field, hmax).rows()
 
 
-@leaf(charsums_cmd, "salie",
-      click.option("--hmax", type=click.IntRange(1, _SALIE_MAX_H), default=2, show_default=True))
+@leaf(charsums_cmd, "salie", Option("--hmax", "hmax", range(1, _SALIE_MAX_H + 1), 2))
 def charsums_salie(field, hmax):
     """Check MK^h against the Salie recurrence (stated for prime q) at every q;
     exit 1 when a row is unequal."""
@@ -168,8 +333,7 @@ def charsums_salie(field, hmax):
             for x in salie_check(field, hmax)]
 
 
-@leaf(charsums_cmd, "prop-e",
-      click.option("--mmax", type=click.IntRange(0, _DELTA_MAX_M), default=4, show_default=True))
+@leaf(charsums_cmd, "prop-e", Option("--mmax", "mmax", range(0, _DELTA_MAX_M + 1), 4))
 def charsums_prop_e(field, mmax):
     """Check the twisted moment identity against the tuple counts delta."""
     return [{"q": x.q, "m": x.m, "beta": x.beta, "lhs": str(x.lhs), "rhs": str(x.rhs),
@@ -177,12 +341,12 @@ def charsums_prop_e(field, mmax):
 
 
 @leaf(group_cmd, "enumerate", _GROUP,
-      click.option("--oracle", is_flag=True,
-                   help="Cross-check against the 3^9 / 3^4 filter (q = 3 only)."))
+      Option("--oracle", "oracle", bool, False,
+             help="Cross-check against the 3^9 / 3^4 filter (q = 3 only)."))
 def group_enumerate(field, gid, oracle):
     """Emit the group elements as rows of enc-integer grids (q <= 27)."""
     if oracle and field.q != 3:
-        raise click.UsageError("--oracle requires --q-exponent 1")
+        raise UsageError("--oracle requires --q-exponent 1")
     elems = enumerate_group(field, gid)
     # one row dict per element, built as it is written: O(3, 27) has 39,312
     rows = ({"index": i, **{f"e{a}{b}": v for a, line in enumerate(w)
@@ -208,7 +372,7 @@ def group_spectrum(field, gid):
 
 
 @leaf(group_cmd, "gauss", _GROUP,
-      click.option("--a", "a_enc", type=int, required=True, help="Unit a as an enc integer."))
+      Option("--a", "a_enc", int, required=True, help="Unit a as an enc integer."))
 def group_gauss(field, gid, a_enc):
     """The exponential sum sum_w lambda(a Tr w), two ways."""
     closed = gauss_sum_closed(field, gid, a_enc)  # rejects a non-unit a
@@ -227,21 +391,19 @@ def code_dual_spectrum(field, tag):
 
 
 @leaf(code_cmd, "spectrum", _CODE,
-      click.option("--method", type=click.Choice(["dp", "macwilliams"]), default="dp",
-                   show_default=True),
-      click.option("--truncate", type=int, default=None,
-                   help="Emit only C_0..C_J (dp method only)."))
+      Option("--method", "method", ("dp", "macwilliams"), "dp"),
+      Option("--truncate", "truncate", int, help="Emit only C_0..C_J (dp method only)."))
 def code_spectrum(field, tag, method, truncate):
     """Weight distribution of the code by the chosen method."""
     if method == "dp":
         return weight_distribution_dp(field, tag, truncate_at=truncate).rows(field.q)
     if truncate is not None:
-        raise click.UsageError("--truncate applies to the dp method only")
+        raise UsageError("--truncate applies to the dp method only")
     return weight_distribution_macwilliams(field, tag).rows(field.q)
 
 
 @leaf(code_cmd, "pless", _CODE,
-      click.option("--h", "h", type=click.IntRange(0, 8), required=True))
+      Option("--h", "h", range(0, 9), required=True))
 def code_pless(field, tag, h):
     """Check the h-th Pless power moment for the code."""
     rep = pless_check(field, tag, h)
@@ -276,6 +438,8 @@ def verify_n(field):
 @leaf(verify_cmd, "all")
 def verify_all(field):
     """Run the whole battery appropriate to this field size."""
+    from .battery import battery_rows  # only this command loads the battery
+
     return battery_rows(field)
 
 
@@ -287,7 +451,7 @@ def entry() -> None:
     `verify all --q-exponent 3` they would walk about 75k objects.
     """
     try:
-        main()
+        main.main()
     finally:
         gc.freeze()
 

@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import click
 import pytest
 from click.testing import CliRunner
 
@@ -302,13 +301,17 @@ def test_moments_at_q6561(runner):
         assert 2 * value[("SK", h)] == value[("T0SK", h)] + value[("T12SK", h)]
 
 
+def _klc_env():
+    """The environment of a child interpreter that imports this klc."""
+    src = str(Path(klc.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _fresh_python(code):
     """Stdout of code run in a fresh interpreter that imports this klc."""
-    src = str(Path(klc.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, env=env)
+                          timeout=60, env=_klc_env())
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -328,6 +331,38 @@ def test_cli_import_loads_no_dataclasses_or_hashlib():
     import adds neither module to what a bare interpreter holds."""
     probe = "import sys\nprint(sorted({'dataclasses', 'hashlib'} & set(sys.modules)))"
     assert _fresh_python("import klc.cli\n" + probe) == _fresh_python(probe)
+
+
+def test_cli_import_loads_no_click_csv_or_battery():
+    """click is a test-only harness; csv loads on the CSV path and the
+    battery in `verify all`, so other commands do not pay for them."""
+    assert _fresh_python("import sys\nimport klc.cli\n"
+                         "print(sorted({'click', 'csv', 'klc.battery'} & set(sys.modules)))"
+                         ) == "[]\n"
+
+
+def test_entry_runs_without_click():
+    """The process entry exits 0 with the pinned body when click cannot be imported."""
+    out = _fresh_python("import sys\n"
+                        "sys.modules['click'] = None\n"
+                        "import klc.cli as cli\n"
+                        "sys.argv = ['klc', 'verify', 'corollary-n']\n"
+                        "cli.entry()\n")
+    body = out.split("\n", 1)[1]
+    assert hashlib.sha256(body.encode()).hexdigest() == CONTRACT_DIGESTS["verify corollary-n"]
+
+
+def test_closed_pipe_exits_one_quietly():
+    """A reader that stops early (`klc ... | head`) ends the command with
+    exit 1 and nothing on stderr."""
+    proc = subprocess.Popen([sys.executable, "-m", "klc.cli", "group", "enumerate", "--group",
+                             "o3", "--q-exponent", "3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_klc_env())
+    assert json.loads(proc.stdout.readline())["command"] == "group enumerate"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_main_leaves_the_collector_as_it_found_it(runner):
@@ -513,7 +548,7 @@ json.dump(out, sys.stdout)
 
 def _leaf_commands(group, prefix=()):
     for name, cmd in group.commands.items():
-        if isinstance(cmd, click.Group):
+        if isinstance(cmd, cli.Group):
             yield from _leaf_commands(cmd, prefix + (name,))
         else:
             yield prefix + (name,)
@@ -564,16 +599,64 @@ def test_leaf_commands_exit_codes(runner):
     _check_table(outcomes)
 
 
+def _outcomes_optimized(calls):
+    """_TABLE_SCRIPT's outcomes for the argument lists, under python -O."""
+    proc = subprocess.run([sys.executable, "-O", "-c", _TABLE_SCRIPT], input=json.dumps(calls),
+                          capture_output=True, text=True, timeout=120, env=_klc_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_leaf_commands_exit_codes_optimized():
     """The same table under python -O, where an assert would be stripped."""
-    src = str(Path(klc.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-O", "-c", _TABLE_SCRIPT],
-                          input=json.dumps([args for args, _ in _table_calls()]),
-                          capture_output=True, text=True, timeout=120, env=env)
-    assert proc.returncode == 0, proc.stderr
-    _check_table(json.loads(proc.stdout))
+    _check_table(_outcomes_optimized([args for args, _ in _table_calls()]))
+
+
+# Malformed argument lists and two well-formed spellings, with the exit
+# code and the number of Error: lines each gives.  A bare group prints its
+# help and exits 2; every other malformed call prints one Error: line.
+# `--hmax=3` and `--hmax 9 --hmax 3` (the last value wins) print the body
+# of `--hmax 3`.
+ARGV_TABLE = [
+    ([], 2, 0),
+    (["verify"], 2, 0),
+    (["nope"], 2, 1),
+    (["verify", "nope"], 2, 1),
+    (["verify", "corollary-n", "--nope"], 2, 1),
+    (["verify", "theorem-a1", "--hmax"], 2, 1),
+    (["verify", "theorem-a1", "--hmax", "x"], 2, 1),
+    (["verify", "theorem-a1", "--hmax", "17"], 2, 1),
+    (["code", "pless", "--code", "xx", "--h", "1"], 2, 1),
+    (["code", "pless", "--h", "1"], 2, 1),
+    (["verify", "corollary-n", "extra"], 2, 1),
+    (["verify", "theorem-a1", "--hmax=3"], 0, 0),
+    (["verify", "theorem-a1", "--hmax", "9", "--hmax", "3"], 0, 0),
+]
+
+
+def _check_argv_table(outcomes, runner):
+    body = runner.invoke(cli.main, ["verify", "theorem-a1", "--hmax", "3"]).output
+    for (args, code, errors), (got, output, crashed) in zip(ARGV_TABLE, outcomes, strict=True):
+        assert (got, crashed) == (code, False), (args, output)
+        assert "Traceback" not in output, args
+        assert sum(ln.startswith("Error:") for ln in output.splitlines()) == errors, args
+        if code == 0:
+            assert output.split("\n", 1)[1] == body.split("\n", 1)[1], args
+        elif not errors:
+            assert "Usage:" in output and "Commands:" in output, args
+
+
+def test_malformed_argv_table(runner):
+    outcomes = []
+    for args, _, _ in ARGV_TABLE:
+        res = runner.invoke(cli.main, args)
+        outcomes.append((res.exit_code, res.output,
+                         res.exception is not None and not isinstance(res.exception, SystemExit)))
+    _check_argv_table(outcomes, runner)
+
+
+def test_malformed_argv_table_optimized(runner):
+    _check_argv_table(_outcomes_optimized([args for args, _, _ in ARGV_TABLE]), runner)
 
 
 # ---------------------------------------------------------------------------
