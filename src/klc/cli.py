@@ -8,21 +8,20 @@ reruns with identical flags are byte-identical apart from that line.  CSV
 output is a flat, lossy convenience rendering of the same rows.
 
 Exit status: 0 on success, 1 when any emitted verification row carries a
-false equal/pass flag, 2 on usage errors.  A `verify all` check that fails
-or raises becomes its own failing row; the remaining checks still run and
-the run exits 1.
+false equal/pass flag, 2 on usage errors, 130 on Ctrl-C.  A `verify all`
+check that fails or raises becomes its own failing row; the remaining
+checks still run and the run exits 1.
 
 The commands form one table: `main` is a Group of Groups of Commands, and
 each Command lists its options as Option records, which one small parser
 reads.  `main.main(args, prog_name)` runs a command and always ends in
-SystemExit with its status, the call shape of a click command, so that
-click's test runner can drive it.
+SystemExit with its status, the call shape perfbench's tracer and the
+tests' runner use.
 
-`entry` is the process entry (`klc`, `python -m klc.cli`): it runs `main`
-and then freezes the heap, so the full collections CPython runs while it
-shuts down skip every object the command built.  `main` itself sets no
-collector policy, because callers such as a test runner run it inside
-their own long-lived process.
+`entry` is the process entry (`klc`, `python -m klc.cli`) and the only code
+in klc that sets process state: the cyclic collector, the heap freeze, a
+closed stdout pipe and Ctrl-C.  `main` sets none of it, because callers
+such as a test runner run it inside their own long-lived process.
 """
 
 from __future__ import annotations
@@ -88,8 +87,8 @@ class Group:
 
     def main(self, args=None, prog_name=None, standalone_mode=True):
         """Run the command that args (default sys.argv[1:]) name, then raise
-        SystemExit with its status.  This is click's calling convention,
-        which its test runner uses; every run is standalone."""
+        SystemExit with its status.  perfbench's tracer and the tests call
+        it this way; every run is standalone."""
         args = list(sys.argv[1:] if args is None else args)
         path, cmd = [prog_name or self.name], self
         while isinstance(cmd, Group) and args and args[0] in cmd.commands:
@@ -102,10 +101,6 @@ class Group:
             sys.stderr.write(f"Usage: {prog} {cmd.usage}\nTry '{prog} --help' for help.\n"
                              f"\nError: {exc}\n")
             code = 2
-        except BrokenPipeError:
-            # the reader went away (`klc ... | head`): drop the rest quietly
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            code = 1
         raise SystemExit(code)
 
 
@@ -444,14 +439,29 @@ def verify_all(field):
 
 
 def entry() -> None:
-    """Run the CLI as a process: `main`, then gc.freeze() on the way out.
+    """Run the CLI as a process: `main` with the cyclic collector off, then
+    gc.freeze() on the way out.
 
-    CPython runs full collections while it shuts down, even with the
-    collector disabled; frozen objects are left out of them.  After
-    `verify all --q-exponent 3` they would walk about 75k objects.
+    A command builds tuples of ints and of tuples, such as the 39,312
+    elements of O(3, 27), and leaves no cycles, so a collection during the
+    command would free nothing.  CPython still runs full collections
+    while it shuts down, even with the collector disabled; frozen objects
+    are left out of them.  After `verify all --q-exponent 3` they would
+    walk about 75k objects.
+
+    A reader that goes away (`klc ... | head`) ends the command with exit 1
+    and nothing on stderr; Ctrl-C prints `Aborted!` and exits 130.
     """
+    gc.disable()
     try:
         main.main()
+    except BrokenPipeError:
+        # drop the rest of the output, also the flush at shutdown
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except KeyboardInterrupt:
+        sys.stderr.write("Aborted!\n")
+        sys.exit(130)
     finally:
         gc.freeze()
 

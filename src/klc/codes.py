@@ -13,48 +13,9 @@ routes and must agree coefficient by coefficient:
     a codeword of weight j picks nu_beta coordinates set to 1 and mu_beta
     set to 2 among the n(beta) positions with trace beta, subject to
     sum (nu_beta - mu_beta) beta == 0; the DP tracks (weight, that partial
-    sum).  Since the additive group has exponent 3, only (nu - mu) mod 3
-    moves the sum, and the per-beta transition rows for the three residues
-    have closed forms, the two nonzero residues sharing one row.  The DP
-    is folded by +-: flipping 1 <-> 2 merges the classes beta and -beta.
-    Each column is one int with its weights in fixed-width byte slots
-    (Kronecker substitution); an entry of weight j over m positions counts
-    some of the C(m, j) 2^j words of weight j, and the slots are sized by
-    that bound, so every masked value reads back exactly.
-
-    Orbits.  Every trace spectrum is invariant under phi(x) = x^3, since
-    the groups are defined over GF(3) and tr(x^3) = tr(x).  The state
-    keeps one column per orbit of <-1, phi^d> on GF(q), 26 at r = 5 where
-    the pairs {s, -s} number 122, with d the smallest divisor of r such
-    that the class sizes are phi^d-invariant and every class pulled alone
-    is phi^d-fixed up to sign: both are checked, not assumed, and d = r
-    gives the pairs.  Each group of equal-size classes is then a union of
-    orbits, so its pull keeps the state invariant.  Class {+-1}, then
-    class 0, pull last, each alone; each group writes only the columns
-    that later groups read: class 0 and class {+-1} column 0, and the last
-    class before them columns {0} and {+-1}.
-
-    Newton.  A group of k classes pulls at once through
-    prod_i (R_0 + R_1 E_i) = sum_w R_0^(k-w) R_1^w e_w(E), E_i the shift by
-    +-beta_i.  Since 2 beta = -beta, E_i^2 = E_i + 2, so every power sum of
-    the E_i is affine in P = sum_i E_i, a small integer matrix on the orbit
-    columns, and Newton's identities build e_w(E) state from P T_0, ...,
-    P T_(w-1): min(k, J) products by P and min(k, J) + 1 packed products
-    per column.  The division by w in Newton's identities is exact on the
-    packed values, since evaluation at B is a ring homomorphism.
-
-    Passes.  After the first group, a class of n <= J positions pulls
-    alone through the closed forms R_0 = (u^n + 2 v^n)/3 and
-    R_1 = (u^n - v^n)/3, u = 1 + 2y and v = 1 - y: S R_0 + T R_1 =
-    ((S + T) u^n + (2S - T) v^n)/3.  On the packed value at y = B a factor
-    u or v is one shift and one addition, so a column costs 2n linear
-    passes instead of products.  Evaluation at B is a ring homomorphism,
-    so the unmasked numerator, signed coefficients, borrows and carries
-    included, is exactly 3 times the value of the new column, whose
-    coefficients are all nonnegative: divide by 3, then mask.  Truncated
-    rows (n > J), and the first group, pulled from the start state, keep
-    the products;
-
+    sum).  weight_distribution_dp's docstring says how it folds the classes
+    by +-, keeps one column per orbit, packs each column into one int and
+    pulls the classes ("Orbits", "Slots", "Newton", "Passes");
   * the MacWilliams transform of the q-word dual spectrum.  If c_s entries
     of c(a) equal s, the group's exponential sum is G(a) = c_0 + c_1 zeta +
     c_2 zeta^2, so the dual weight is w(a) = c_1 + c_2 = (2N - 2Re G(a))/3;

@@ -62,9 +62,7 @@ takes O(3, q) from the checked SO(3, q) instead of a second walk: in the
 canonical order it is S[:n0] + rho S[n0:] + rho S[:n0] + S[n0:], with S
 the SO(3, q) tuple and n0 = q(q - 1) the size of its rr = 0 cell.  Each
 rho w shares w's top and middle rows and negates its last row; rho is
-checked once, and rho times a member is a member by closure.  It pauses
-the cyclic garbage collector while it builds, since it allocates only
-tuples of ints and of tuples, which form no cycles.
+checked once, and rho times a member is a member by closure.
 
 The membership checks read each entry's log once and form each product
 of two entries as one antilog lookup at the sum of their logs, as
@@ -79,7 +77,6 @@ the oracles.
 
 from __future__ import annotations
 
-import gc
 from functools import lru_cache
 from itertools import product, repeat
 from typing import Iterator
@@ -321,44 +318,32 @@ def enumerate_group(field: Field, gid: str) -> tuple[Mat, ...]:
     no element was emitted twice: |G| distinct members of G are G itself,
     so the result is also closed under products.  Guarded to q <= 27; use
     iter_group to stream larger fields.
-
-    The cyclic garbage collector is paused for the whole build and set
-    back as it was found.  The build allocates only tuples of ints and of
-    tuples, which form no cycles, so a collection would free nothing; left
-    running, it made 144 collections while the three groups were built at
-    q = 27.
     """
     gid = _check_gid(gid)
     if field.q > _ENUMERATE_MAX_Q:
         raise UnsupportedScaleError(
             f"full materialization bounded at q <= {_ENUMERATE_MAX_Q}, got q = {field.q}"
         )
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        if gid == "o3":
-            rho = ((1, 0, 0), (0, 1, 0), (0, 0, field._neg[1]))
-            if not _PREDICATES["o3"](field, rho):
-                raise _construction_bug(field, gid, rho)
-            so3 = enumerate_group(field, "so3")
-            n0 = field.q * (field.q - 1)  # the rr = 0 cell, q(A, h)
-            elems = (so3[:n0] + _rho_times(field, so3[n0:])
-                     + _rho_times(field, so3[:n0]) + so3[n0:])
-        else:
-            elems = tuple(_iter_cells(field, gid))
-            check = _PREDICATES[gid]
-            if not all(map(check, repeat(field), elems)):
-                raise _construction_bug(field, gid, next(w for w in elems if not check(field, w)))
-        expected = group_order(field.q, gid)
-        if len(elems) != expected:
-            raise VerificationError(
-                f"{gid} at q={field.q}: enumerated {len(elems)} elements, order says {expected}"
-            )
-        if len(set(elems)) != len(elems):
-            raise VerificationError(f"{gid} at q={field.q}: enumeration emitted duplicates")
-    finally:
-        if collecting:
-            gc.enable()
+    if gid == "o3":
+        rho = ((1, 0, 0), (0, 1, 0), (0, 0, field._neg[1]))
+        if not _PREDICATES["o3"](field, rho):
+            raise _construction_bug(field, gid, rho)
+        so3 = enumerate_group(field, "so3")
+        n0 = field.q * (field.q - 1)  # the rr = 0 cell, q(A, h)
+        elems = (so3[:n0] + _rho_times(field, so3[n0:])
+                 + _rho_times(field, so3[:n0]) + so3[n0:])
+    else:
+        elems = tuple(_iter_cells(field, gid))
+        check = _PREDICATES[gid]
+        if not all(map(check, repeat(field), elems)):
+            raise _construction_bug(field, gid, next(w for w in elems if not check(field, w)))
+    expected = group_order(field.q, gid)
+    if len(elems) != expected:
+        raise VerificationError(
+            f"{gid} at q={field.q}: enumerated {len(elems)} elements, order says {expected}"
+        )
+    if len(set(elems)) != len(elems):
+        raise VerificationError(f"{gid} at q={field.q}: enumeration emitted duplicates")
     return elems
 
 

@@ -4,7 +4,7 @@ import json
 from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
+from conftest import CliRunner
 
 import klc.battery as battery
 import klc.cli as cli

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from conftest import CliRunner
 
 import klc
 import klc.cli as cli
@@ -334,8 +334,8 @@ def test_cli_import_loads_no_dataclasses_or_hashlib():
 
 
 def test_cli_import_loads_no_click_csv_or_battery():
-    """click is a test-only harness; csv loads on the CSV path and the
-    battery in `verify all`, so other commands do not pay for them."""
+    """klc uses no click; csv loads on the CSV path and the battery in
+    `verify all`, so other commands do not pay for them."""
     assert _fresh_python("import sys\nimport klc.cli\n"
                          "print(sorted({'click', 'csv', 'klc.battery'} & set(sys.modules)))"
                          ) == "[]\n"
@@ -402,6 +402,89 @@ def test_entry_exits_with_the_command_status_and_freezes(args, patch, code):
     assert out.splitlines()[-1] == f"0 {code} True"
 
 
+def test_entry_runs_the_command_with_the_collector_off():
+    """The process entry turns the collector off before the command runs,
+    leaves it off, and freezes the heap after it."""
+    out = _fresh_python("import gc, sys\n"
+                        "import klc.cli as cli\n"
+                        "seen = []\n"
+                        "def recording(field):\n"
+                        "    seen.append(gc.isenabled())\n"
+                        "    return []\n"
+                        "cli.corollary_n = recording\n"
+                        "sys.argv = ['klc', 'verify', 'corollary-n']\n"
+                        "try:\n"
+                        "    cli.entry()\n"
+                        "except SystemExit as exc:\n"
+                        "    code = exc.code\n"
+                        "print(seen, code, gc.isenabled(), gc.get_freeze_count() > 0)\n")
+    assert out.splitlines()[-1] == "[False] 0 False True"
+
+
+def test_interrupt_prints_aborted_and_exits_130():
+    """Ctrl-C during a command prints one line on stderr, no traceback, and
+    exits 130, apart from the 1 and 2 of failures and usage errors."""
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys\n"
+                           "import klc.cli as cli\n"
+                           "def interrupted(field):\n"
+                           "    raise KeyboardInterrupt\n"
+                           "cli.corollary_n = interrupted\n"
+                           "sys.argv = ['klc', 'verify', 'corollary-n']\n"
+                           "cli.entry()\n"],
+                          capture_output=True, text=True, timeout=60, env=_klc_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "Aborted!\n")
+
+
+# Runs main on each argument list from stdin in an interpreter with the
+# collector off; prints [exit code, objects gc.collect() found] per call.
+# A call's patch [module, name] makes that function raise VerificationError
+# for this call and every later one.  CliRunner is not used: its Result
+# keeps the SystemExit, whose traceback holds the runner's frame, which
+# holds the Result, a cycle of its own.
+_PREMISE_SCRIPT = """
+import gc, io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+import klc.cli as cli
+from klc.errors import VerificationError
+
+def broken(*args, **kwargs):
+    raise VerificationError("broken")
+
+gc.disable()
+gc.collect()
+out = []
+for args, patch in json.load(sys.stdin):
+    if patch:
+        setattr(sys.modules[patch[0]], patch[1], broken)
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            cli.main.main(args=args, prog_name="klc")
+        except SystemExit as exc:
+            code = exc.code
+    out.append([code, gc.collect()])
+json.dump(out, sys.stdout)
+"""
+
+
+def test_a_command_leaves_no_cycles():
+    """The collector frees only cycles, so turning it off for the process
+    loses nothing when a command leaves none: after each call of the leaf
+    table, good and bad, after `verify all` at r = 1..3, after a check
+    that raises and after a verification failure, gc.collect() finds 0."""
+    calls = [(args, None, code) for args, code in _table_calls()]
+    calls += [(["verify", "all", "--q-exponent", str(r)], None, 0) for r in (1, 2, 3)]
+    calls += [(["verify", "all"], ["klc.battery", "theorem_a1"], 1),  # patched calls last
+              (["verify", "corollary-n"], ["klc.cli", "corollary_n"], 1)]
+    proc = subprocess.run([sys.executable, "-c", _PREMISE_SCRIPT],
+                          input=json.dumps([[args, patch] for args, patch, _ in calls]),
+                          capture_output=True, text=True, timeout=120, env=_klc_env())
+    assert proc.returncode == 0, proc.stderr
+    outcomes = json.loads(proc.stdout)
+    assert [[args, *outcome] for (args, _, _), outcome in zip(calls, outcomes, strict=True)] \
+        == [[args, code, 0] for args, _, code in calls]
+
+
 def test_klc_script_is_the_module_entry():
     """pyproject's `klc` script runs what `python -m klc.cli` runs."""
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
@@ -423,6 +506,19 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not found, f"{path.name}: assert at lines {found}"
+
+
+def test_only_the_cli_imports_gc():
+    """The collector is process state, which only the process entry sets:
+    no library module imports gc."""
+    importers = []
+    for path in sorted(Path(klc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(isinstance(node, ast.Import) and "gc" in (alias.name for alias in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "gc"
+               for node in ast.walk(tree)):
+            importers.append(path.name)
+    assert importers == ["cli.py"]
 
 
 def test_public_names_resolve():
@@ -530,11 +626,11 @@ LEAF_TABLE = [
     (["verify", "all"], ["--q-exponent", "9"]),
 ]
 
-# Runs each argument list from stdin through CliRunner; prints
+# Runs each argument list from stdin through conftest's CliRunner; prints
 # [exit code, output, raised a non-SystemExit exception] per call.
 _TABLE_SCRIPT = """
 import json, sys
-from click.testing import CliRunner
+from conftest import CliRunner
 import klc.cli as cli
 runner = CliRunner()
 out = []
@@ -601,8 +697,10 @@ def test_leaf_commands_exit_codes(runner):
 
 def _outcomes_optimized(calls):
     """_TABLE_SCRIPT's outcomes for the argument lists, under python -O."""
+    env = _klc_env()
+    env["PYTHONPATH"] += os.pathsep + str(Path(__file__).parent)  # conftest
     proc = subprocess.run([sys.executable, "-O", "-c", _TABLE_SCRIPT], input=json.dumps(calls),
-                          capture_output=True, text=True, timeout=120, env=_klc_env())
+                          capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 

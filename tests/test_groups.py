@@ -1,9 +1,8 @@
-import gc
 from itertools import islice, product
 from random import Random
 
 import pytest
-from click.testing import CliRunner
+from conftest import CliRunner
 
 import klc.cli as cli
 from klc import groups
@@ -263,39 +262,6 @@ def test_predicates_reject_on_both_paths(gid, monkeypatch):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
-
-
-def test_enumeration_leaves_the_collector_as_it_found_it(monkeypatch):
-    """enumerate_group pauses the cyclic collector for the whole build,
-    across the nested SO(3, q) build of a cold O(3, q) call, and then sets
-    it back as the caller had it, also when a check raises."""
-    f = Field(2)
-    paused = []
-    rho_times = groups._rho_times
-
-    def spying(field, elems):
-        paused.append(not gc.isenabled())
-        return rho_times(field, elems)
-
-    monkeypatch.setattr(groups, "_rho_times", spying)
-    assert gc.isenabled()
-    enumerate_group.cache_clear()
-    try:
-        enumerate_group(f, "o3")
-        assert paused == [True, True] and gc.isenabled()
-        with monkeypatch.context() as patch:
-            patch.setitem(groups._PREDICATES, "sp2", lambda field, w: False)
-            with pytest.raises(VerificationError, match="construction bug"):
-                enumerate_group(f, "sp2")
-        assert gc.isenabled()
-        gc.disable()
-        try:
-            enumerate_group(f, "sp2")
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
-    finally:
-        enumerate_group.cache_clear()
 
 
 @pytest.mark.parametrize("gid", GROUPS)
