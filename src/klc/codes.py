@@ -45,6 +45,11 @@ from .groups import (_check_gid, enumerate_group, gauss_sum_closed, gauss_sum_en
 
 _FULL_SPECTRUM_MAX_N = 2000
 
+# The weight DP's packed state, columns x (width + 1) slots, is refused past
+# this many bytes: 8 MiB, about 2.5 times the largest run timed (so3 at
+# q = 27, cap 800: 6 columns of 801 slots of 703 bytes, 3.4 MB).
+_DP_STATE_MAX_BYTES = 1 << 23
+
 
 def code_length(q: int, tag: str) -> int:
     return group_order(q, tag)
@@ -181,6 +186,21 @@ def _slot_bytes(m: int, width: int) -> int:
     the smaller of the two."""
     j = min(width, (2 * m + 2) // 3)
     return ((comb(m, j) << j).bit_length() + 7) // 8
+
+
+def _check_state_bytes(q: int, columns: int, m: int, width: int) -> None:
+    """Refuse a DP whose packed state, columns x (width + 1) slots of
+    _slot_bytes(m, width) bytes, is past _DP_STATE_MAX_BYTES.  A slot holds
+    at least j + 1 bits, j = min(width, (2m + 2) // 3), so that bound is
+    tried first, and the binomial is formed only when it passes."""
+    slots = columns * (width + 1)
+    j = min(width, (2 * m + 2) // 3)
+    if (slots * (j // 8 + 1) > _DP_STATE_MAX_BYTES
+            or slots * _slot_bytes(m, width) > _DP_STATE_MAX_BYTES):
+        raise UnsupportedScaleError(
+            f"weight DP state bounded at {_DP_STATE_MAX_BYTES} bytes (asked for {columns} "
+            f"columns of {width + 1} weights at q = {q}); truncate lower"
+        )
 
 
 def _dp_plan(field: Field, sizes: list[int]) -> list[tuple[int, list[int], int | None]]:
@@ -374,16 +394,19 @@ def weight_distribution_dp(field: Field, tag: str,
     cost next to nothing, and a truncated row is dense mod y^(cap+1) while
     n > cap, so both keep the products.
 
-    Untruncated runs are bounded to N <= 2000; pass truncate_at=J for the
-    exact counts C_0..C_J at any supported q.
+    Untruncated runs are bounded to N <= 2000, and so is truncate_at=J for
+    J >= N, which keeps every count; J < N gives the exact counts C_0..C_J
+    at any supported q, unless the packed state at the end of the plan,
+    the largest one, is past _DP_STATE_MAX_BYTES (_check_state_bytes).
+    Both refusals come before any column is packed.
     """
     tag = _check_gid(tag)
-    if truncate_at is None:
+    if truncate_at is not None and truncate_at < 0:
+        raise ValueError(f"truncate_at must be nonnegative, got {truncate_at}")
+    if truncate_at is None or truncate_at >= code_length(field.q, tag):
         cap = _full_length(field.q, tag)
     else:
-        if truncate_at < 0:
-            raise ValueError(f"truncate_at must be nonnegative, got {truncate_at}")
-        cap = min(truncate_at, code_length(field.q, tag))
+        cap = truncate_at
 
     neg, rows = field.neg, field._rows
     counts_beta = trace_spectrum_closed(field, tag)
@@ -393,6 +416,8 @@ def weight_distribution_dp(field: Field, tag: str,
     plan = _dp_plan(field, sizes)
     reps, col_of = _orbit_columns(
         field, sizes, [beta for n, betas, _ in plan[1:] if n <= cap for beta in betas])
+    _check_state_bytes(field.q, len(reps), sum(len(betas) * n for n, betas, _ in plan),
+                       min(cap, sum(len(betas) * min(n, cap) for n, betas, _ in plan)))
 
     state = [1] + [0] * (len(reps) - 1)
     m = width = 0

@@ -54,13 +54,19 @@ lexicographic by (enc(a), enc(b), enc(c) or enc(d)).
 Every element written out is checked by one call of its group's
 predicate: the six entry equations of is_orthogonal for O(3, q), those
 and det = 1 in the one function is_special_orthogonal for SO(3, q), and
-det = 1 for Sp(2, q).  iter_group is the streaming path: it checks each
-element as it yields it, at any q, and it is the oracle for the bulk
-path.  enumerate_group (q <= 27) is the bulk path: it writes SO(3, q) or
-Sp(2, q) out into a tuple and then maps the predicate over the tuple.  It
-takes O(3, q) from the checked SO(3, q) instead of a second walk: in the
-canonical order it is S[:n0] + rho S[n0:] + rho S[:n0] + S[n0:], with S
-the SO(3, q) tuple and n0 = q(q - 1) the size of its rr = 0 cell.  Each
+det = 1 for Sp(2, q).  For w in O(3, q), with rows (a, b, c), (d, e, f),
+(g, h, i), the cofactor matrix is det(w) J w J, so its top row
+(ei - fh, fg - di, dh - eg) is det(w) (e, d, f), and
+is_special_orthogonal reads det = 1 off the cofactor at e, or at d when
+e = 0, with mat_det as its oracle.
+
+iter_group is the streaming path: it checks each element as it yields
+it, at any q, and it is the oracle for the bulk path.  enumerate_group
+(q <= 27) is the bulk path: it writes SO(3, q) or Sp(2, q) out into a
+tuple and then maps the predicate over the tuple.  It takes O(3, q)
+from the checked SO(3, q) instead of a second walk: in the canonical
+order it is S[:n0] + rho S[n0:] + rho S[:n0] + S[n0:], with S the
+SO(3, q) tuple and n0 = q(q - 1) the size of its rr = 0 cell.  Each
 rho w shares w's top and middle rows and negates its last row; rho is
 checked once, and rho times a member is a member by closure.
 
@@ -181,10 +187,20 @@ def is_orthogonal(field: Field, w: Mat) -> bool:
 
 def is_special_orthogonal(field: Field, w: Mat) -> bool:
     """is_orthogonal(field, w) and mat_det(field, w) == 1 in one call: the
-    nine entry logs are read once and serve both the six equations and
-    mat_det's cofactor expansion along the top row."""
+    six equations of is_orthogonal, then det = 1 read off one cofactor.
+
+    With rows (a, b, c), (d, e, f), (g, h, i): if w J w^T = J, then
+    w^-1 = J w^T J, so the cofactor matrix det(w) (w^-1)^T is
+    det(w) J w J, whose top row (ei - fh, fg - di, dh - eg) is
+    det(w) (e, d, f).  det(w)^2 = 1, so det(w) = 1 exactly when the
+    cofactor at a nonzero entry of the middle row equals that entry, as
+    1 != -1.  The middle row is nonzero, since w is invertible, and the
+    equation f^2 = d e makes f = 0 when e = 0; so the cofactor at e
+    decides, or else the one at d.  mat_det is the oracle.
+    """
     log, exp2, rows, neg = field._log, field._exp2, field._rows, field._neg
     (a, b, c), (d, e, f), (g, h, i) = w
+    mid_d, mid_e = d, e
     a, b, c, d, e, f, g, h, i = (log[a], log[b], log[c], log[d], log[e], log[f],
                                  log[g], log[h], log[i])
     if not (exp2[c + c] == exp2[a + b] and exp2[f + f] == exp2[d + e]
@@ -193,10 +209,9 @@ def is_special_orthogonal(field: Field, w: Mat) -> bool:
             and rows[rows[exp2[a + h]][exp2[b + g]]][exp2[c + i]] == 0
             and rows[rows[exp2[d + h]][exp2[e + g]]][exp2[f + i]] == 0):
         return False
-    m1 = exp2[a + log[rows[exp2[e + i]][neg[exp2[f + h]]]]]
-    m2 = exp2[b + log[rows[exp2[d + i]][neg[exp2[f + g]]]]]
-    m3 = exp2[c + log[rows[exp2[d + h]][neg[exp2[e + g]]]]]
-    return rows[rows[m1][neg[m2]]][m3] == 1
+    if mid_e:
+        return rows[exp2[e + i]][neg[exp2[f + h]]] == mid_e
+    return rows[exp2[f + g]][neg[exp2[d + i]]] == mid_d
 
 
 def is_symplectic(field: Field, w: Mat) -> bool:

@@ -29,6 +29,12 @@ P(N, h, c) = codes.pless_sum, scaled:
 The printed source of theorem-a2 carries an exponent base "s" that is
 never defined; every numeric check here confirms the reading s = 2, and
 reports for that identity carry a note saying so.
+
+A report keeps the sequences behind its verdict (the weight counts, or
+corollary-n's closed values), and its inputs_digest, a SHA-256 prefix of
+them, is computed when it is read.  Only a printed row reads it, so a
+caller that reads only the verdicts, such as `verify all`, never hashes
+and never loads hashlib.
 """
 
 from __future__ import annotations
@@ -49,15 +55,22 @@ _MAX_HMAX = 16
 
 
 class RecursionReport(NamedTuple):
+    """One side-by-side report.  inputs holds the sequences the verdict
+    read; inputs_digest is their digest, computed when it is read."""
+
     theorem: str
     q: int
     h: int
     lhs: Fraction
     rhs: Fraction
     equal: bool
-    inputs_digest: str
+    inputs: tuple
     family: str | None = None
     note: str | None = None
+
+    @property
+    def inputs_digest(self) -> str:
+        return _digest(*self.inputs)
 
     def row(self) -> dict:
         out = {
@@ -94,7 +107,7 @@ def truncated_counts(field: Field, tag: str, j_max: int) -> list[int]:
 
 
 def _digest(*seqs) -> str:
-    import hashlib  # only the recursion commands digest; start-up skips it
+    import hashlib  # only printed rows digest; start-up and verify all skip it
 
     blob = json.dumps([[str(v) for v in s] for s in seqs]).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -116,14 +129,13 @@ def _check(theorem: str, field: Field, hmax: int, family: str, tags: tuple[str, 
     tagged codes' weight counts C_0..C_hmax."""
     _check_hmax(hmax)
     mt = moment_table(field, hmax)
-    counts = [truncated_counts(field, tag, hmax) for tag in tags]
-    digest = _digest(*counts)
+    counts = tuple(truncated_counts(field, tag, hmax) for tag in tags)
     m = {h: mt.value(family, h) for h in range(hmax + 1)}
     out = []
     for h in range(1, hmax + 1):
         left, right = lhs(field, h, m), rhs(field, h, m, *counts)
         out.append(RecursionReport(theorem, field.q, h, left, right, left == right,
-                                   digest, note=note))
+                                   counts, note=note))
     return out
 
 
@@ -191,11 +203,11 @@ def corollary_n(field: Field) -> list[RecursionReport]:
         "T0SK": Fraction(sign * q, 3) + 1,
         "T12SK": Fraction(2 * sign * q, 3),
     }
-    digest = _digest([closed[f] for f in sorted(closed)])
+    inputs = ([closed[f] for f in sorted(closed)],)
     out = []
     for family in ("SK", "T0SK", "T12SK"):
         lhs = closed[family]
         rhs = Fraction(mt.value(family, 1))
         out.append(RecursionReport("corollary-n", q, 1, lhs, rhs,
-                                   lhs == rhs, digest, family=family))
+                                   lhs == rhs, inputs, family=family))
     return out

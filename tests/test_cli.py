@@ -242,6 +242,29 @@ def test_full_spectrum_guard_is_a_usage_error(runner):
         assert result.exit_code == 2, method
 
 
+# --truncate calls the weight DP refuses with exit 2 and one Error: line: a
+# truncation that keeps every count (cap >= N) is the full table and meets
+# its N bound, and one whose packed state is past the DP's byte budget is
+# refused before the state is built.
+TRUNCATE_REFUSALS = [
+    (["code", "spectrum", "--code", "so3", "--q-exponent", "3", "--truncate", "100000"],
+     "Error: full distribution bounded at N <= 2000 (asked for N = 19656); "
+     "truncate the dp method instead"),
+    (["code", "spectrum", "--code", "so3", "--q-exponent", "8", "--truncate", "100000"],
+     "Error: weight DP state bounded at 8388608 bytes (asked for 424 columns of 100001 "
+     "weights at q = 6561); truncate lower"),
+]
+
+
+def test_truncate_cannot_get_round_the_bounds(runner):
+    for args, error in TRUNCATE_REFUSALS:
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 2, args
+        assert isinstance(result.exception, SystemExit), args
+        assert "Traceback" not in result.output, args
+        assert [ln for ln in result.output.splitlines() if ln.startswith("Error:")] == [error]
+
+
 def test_dual_spectrum_command(runner):
     result = runner.invoke(cli.main, ["code", "dual-spectrum", "--code", "o3"])
     body = _rows(result)[1:]
@@ -331,6 +354,35 @@ def test_cli_import_loads_no_dataclasses_or_hashlib():
     import adds neither module to what a bare interpreter holds."""
     probe = "import sys\nprint(sorted({'dataclasses', 'hashlib'} & set(sys.modules)))"
     assert _fresh_python("import klc.cli\n" + probe) == _fresh_python(probe)
+
+
+def test_verify_all_loads_no_hashlib():
+    """verify all reads only the verdicts, so it computes no digest and, at
+    r = 1, 2 and 3, never loads hashlib; verify corollary-n and theorem-a1
+    print digests, load it, and print the digests pinned at the parent
+    commit d09c0b4."""
+    out = _fresh_python(
+        "import contextlib, io, json, sys\n"
+        "import klc.cli as cli\n"
+        "def run(*args):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        try:\n"
+        "            cli.main.main(list(args), 'klc')\n"
+        "        except SystemExit as exc:\n"
+        "            assert exc.code == 0, args\n"
+        "    rows = [json.loads(ln) for ln in out.getvalue().splitlines()[1:]]\n"
+        "    return sorted({row.get('inputs_digest') for row in rows}, key=str)\n"
+        "def loaded():\n"
+        "    return sorted({'hashlib', '_hashlib'} & set(sys.modules))\n"
+        "print([run('verify', 'all', '--q-exponent', r) for r in '123'], loaded())\n"
+        "print(run('verify', 'corollary-n'), loaded())\n"
+        "print(run('verify', 'theorem-a1', '--hmax', '2'), loaded())\n")
+    assert out.splitlines() == [
+        "[[None], [None], [None]] []",
+        "['ebfb985ab4b2'] ['_hashlib', 'hashlib']",
+        "['28c67847f248'] ['_hashlib', 'hashlib']",
+    ]
 
 
 def test_cli_import_loads_no_click_csv_or_battery():
@@ -508,6 +560,72 @@ def test_package_has_no_assert_statements():
         assert not found, f"{path.name}: assert at lines {found}"
 
 
+# The integer functions of math that klc uses, and the one true division in
+# klc, pless_sum(...) / 2**h, a Fraction over an int: (file, function).
+_MATH_INTEGER_NAMES = {"comb", "factorial"}
+_TRUE_DIVISION_SITES = {("moments.py", "_a2_rhs")}
+
+
+def _float_sources(tree, filename):
+    """(line, construct) for each construct in one module that can form a
+    float: a float or complex literal, a call of float, complex or round,
+    `import math` or a name from math outside _MATH_INTEGER_NAMES, ** with a
+    negative literal exponent, and / outside _TRUE_DIVISION_SITES."""
+    found = []
+
+    def negative(node):
+        return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+                and isinstance(node.operand, ast.Constant))
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        line = getattr(node, "lineno", None)
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append((line, f"literal {node.value!r}"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("float", "complex", "round")):
+            found.append((line, f"call of {node.func.id}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found.extend((line, f"math.{alias.name}") for alias in node.names
+                         if alias.name not in _MATH_INTEGER_NAMES)
+        elif isinstance(node, ast.Import):
+            found.extend((line, "import math") for alias in node.names if alias.name == "math")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and negative(node.right):
+            found.append((line, "** with a negative exponent"))
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+              and (filename, func) not in _TRUE_DIVISION_SITES):
+            found.append((line, f"/ in {func}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_package_forms_no_float():
+    """No float is ever formed: no construct in src/klc that can make one,
+    checked on the source, and a mutant that divides inside a Fraction is
+    caught.  The rows of a few commands parse with no float in them."""
+    for path in sorted(Path(klc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert _float_sources(tree, path.name) == [], path.name
+    moments = Path(klc.__file__).parent / "moments.py"
+    mutant = moments.read_text().replace("Fraction(1, 2**h)", "Fraction(1 / 2**h)")
+    assert [what for _, what in _float_sources(ast.parse(mutant), "moments.py")] == \
+        ["/ in _lhs_coeff"]
+
+    def no_float(text):
+        raise AssertionError(f"float in a row: {text}")
+
+    runner = CliRunner()
+    for good, _ in LEAF_TABLE:
+        if good[0] in ("verify", "code"):
+            result = runner.invoke(cli.main, good)
+            for line in _lines(result):
+                json.loads(line, parse_float=no_float, parse_constant=no_float)
+
+
 def test_only_the_cli_imports_gc():
     """The collector is process state, which only the process entry sets:
     no library module imports gc."""
@@ -570,7 +688,7 @@ def test_math_failure_exits_one(runner, monkeypatch):
 
 def test_failing_row_exits_one(runner, monkeypatch):
     bad = RecursionReport("corollary-n", 3, 1, Fraction(0), Fraction(1),
-                          False, "000000000000", family="SK")
+                          False, ([0],), family="SK")
 
     monkeypatch.setattr(cli, "corollary_n", lambda field: [bad])
     result = runner.invoke(cli.main, ["verify", "corollary-n"])

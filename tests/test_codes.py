@@ -600,6 +600,40 @@ def test_truncated_counts_beyond_cap():
         weight_distribution_dp(f27, "so3", truncate_at=-1)
 
 
+def _not_reached(*args):
+    raise AssertionError("a refused DP went past its refusal")
+
+
+def test_truncation_that_keeps_every_count_is_the_full_table(monkeypatch):
+    """truncate_at >= N asks for the full table, so it meets the full-table
+    bound, and is refused before any column is packed."""
+    assert weight_distribution_dp(Field(2), "sp2", truncate_at=720).counts == \
+        weight_distribution_dp(Field(2), "sp2").counts
+    monkeypatch.setattr(codes, "_pack", _not_reached)
+    for cap in (19656, 10**5):
+        with pytest.raises(UnsupportedScaleError, match="N <= 2000"):
+            weight_distribution_dp(Field(3), "so3", truncate_at=cap)
+
+
+def test_dp_state_budget_is_exact(monkeypatch):
+    """The full o3 table at q = 9 packs 4 columns of 1441 slots of 285 bytes:
+    a budget of exactly that runs, one byte less is refused unpacked, and
+    at q = 6561, cap 10^5 the cheap lower bound refuses it."""
+    f = Field(2)
+    assert codes._DP_STATE_MAX_BYTES >= 4 * 1441 * 285
+    monkeypatch.setattr(codes, "_DP_STATE_MAX_BYTES", 4 * 1441 * 285)
+    assert sum(weight_distribution_dp(f, "o3").counts) == 3 ** (1440 - 2)
+    monkeypatch.setattr(codes, "_DP_STATE_MAX_BYTES", 4 * 1441 * 285 - 1)
+    monkeypatch.setattr(codes, "_pack", _not_reached)
+    with pytest.raises(UnsupportedScaleError, match="state bounded"):
+        weight_distribution_dp(f, "o3")
+    monkeypatch.undo()
+    monkeypatch.setattr(codes, "_pack", _not_reached)
+    monkeypatch.setattr(codes, "_slot_bytes", _not_reached)
+    with pytest.raises(UnsupportedScaleError, match="424 columns of 100001 weights"):
+        weight_distribution_dp(Field(8), "so3", truncate_at=10**5)
+
+
 def test_sampled_codewords_hit_positive_counts():
     """Vectors orthogonal to the dual words really have weights the DP counts.
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import islice, product
 from random import Random
 
@@ -421,34 +422,66 @@ def _orthogonal_by_definition(field, w):
     return mat_mul(field, mat_mul(field, tuple(zip(*w)), _J), w) == _J
 
 
+def _special_by_parts(field, w, cases):
+    """is_special_orthogonal(w) against is_orthogonal(w) and mat_det(w) == 1,
+    counted in cases by which cofactor of is_special_orthogonal decides it:
+    the one at e, or at d when e = 0.  With e = d = 0 the six equations
+    reject w, since f^2 = d e would leave the middle row zero."""
+    (_, (d, e, _), _) = w
+    orthogonal = is_orthogonal(field, w)
+    special = orthogonal and mat_det(field, w) == 1
+    assert is_special_orthogonal(field, w) == special, w
+    cases["e" if e else "d" if d else "e = d = 0", orthogonal, special] += 1
+
+
+def _assert_every_cofactor_case(cases):
+    """Each cofactor decided members of both determinants, and matrices
+    with e = d = 0 were tried and all rejected."""
+    for case in ("e", "d"):
+        assert cases[case, True, True] > 0 and cases[case, True, False] > 0, case
+    assert cases["e = d = 0", False, False] > 0
+    assert cases["e = d = 0", True, True] == cases["e = d = 0", True, False] == 0
+
+
 def test_is_orthogonal_matches_the_definition_on_every_matrix_at_q3():
     """is_orthogonal against w^T J w == J, and the fused
     is_special_orthogonal against its parts, is_orthogonal and mat_det, and
-    against the by-products definitions, on all 3^9 matrices."""
+    against the by-products definitions, on all 3^9 matrices, with every
+    cofactor case taken."""
     f = Field(1)
     rows = list(product(range(3), repeat=3))
     members = special = 0
+    cases = Counter()
     for w in product(rows, repeat=3):
         verdict = is_orthogonal(f, w)
         assert verdict == _orthogonal_by_definition(f, w), w
         fused = is_special_orthogonal(f, w)
-        assert fused == (verdict and mat_det(f, w) == 1), w
         assert fused == (verdict and _det_by_cofactors(f, w) == 1), w
+        _special_by_parts(f, w, cases)
         members += verdict
         special += fused
     assert members == group_order(3, "o3")
     assert special == group_order(3, "so3")
+    _assert_every_cofactor_case(cases)
 
 
 @pytest.mark.parametrize("r, modulus", [(2, None), (2, [2, 1, 1]), (3, None), (3, [1, 0, 2, 1])],
                          ids=["r2", "r2-211", "r3", "r3-1021"])
 def test_is_orthogonal_matches_the_definition_near_the_group(r, modulus):
-    """Every element of O(3, q), and one-entry perturbations of a seeded
-    sample of them, get the verdict of w^T J w == J."""
+    """Every element of O(3, q), its rho cells included, and one-entry
+    perturbations of a seeded sample of them, get the verdict of
+    w^T J w == J, and is_special_orthogonal agrees with is_orthogonal and
+    mat_det on all of them and on each element with e = 0 whose d is set
+    to 0, with every cofactor case taken."""
     f = Field(r, modulus)
     elems = list(groups._iter_cells(f, "o3"))
+    cases = Counter()
     for w in elems:
         assert is_orthogonal(f, w) and _orthogonal_by_definition(f, w), w
+        _special_by_parts(f, w, cases)
+        top, (_, e, mid_f), low = w
+        if not e:
+            _special_by_parts(f, (top, (0, 0, mid_f), low), cases)
     rng = Random(r)
     for _ in range(3000):
         rows = [list(row) for row in elems[rng.randrange(len(elems))]]
@@ -456,6 +489,8 @@ def test_is_orthogonal_matches_the_definition_near_the_group(r, modulus):
         rows[i][j] = (rows[i][j] + rng.randrange(1, f.q)) % f.q
         w = tuple(map(tuple, rows))
         assert is_orthogonal(f, w) == _orthogonal_by_definition(f, w), w
+        _special_by_parts(f, w, cases)
+    _assert_every_cofactor_case(cases)
 
 
 _JHAT = ((0, 1), (2, 0))  # [[0, 1], [-1, 0]]; -1 is encoded as 2
