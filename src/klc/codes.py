@@ -43,11 +43,10 @@ from .field import Field, _pack, _unpack
 from .groups import (_check_gid, enumerate_group, gauss_sum_closed, gauss_sum_enumerated,
                      group_order, mat_trace, trace_spectrum_closed)
 
-_FULL_SPECTRUM_MAX_N = 2000
-
-# The weight DP's packed state, columns x (width + 1) slots, is refused past
-# this many bytes: 8 MiB, about 2.5 times the largest run timed (so3 at
-# q = 27, cap 800: 6 columns of 801 slots of 703 bytes, 3.4 MB).
+# Every exact weight-count table is refused past this many bytes: the weight
+# DP's packed state, columns x (width + 1) slots, and MacWilliams' N + 1
+# totals.  8 MiB, about 2.5 times the largest run timed (so3 at q = 27,
+# cap 800: 6 columns of 801 slots of 703 bytes, 3.4 MB).
 _DP_STATE_MAX_BYTES = 1 << 23
 
 
@@ -55,20 +54,9 @@ def code_length(q: int, tag: str) -> int:
     return group_order(q, tag)
 
 
-def _full_length(q: int, tag: str) -> int:
-    """N, refused above the bound shared by both full-table methods."""
-    n_total = code_length(q, tag)
-    if n_total > _FULL_SPECTRUM_MAX_N:
-        raise UnsupportedScaleError(
-            f"full distribution bounded at N <= {_FULL_SPECTRUM_MAX_N} "
-            f"(asked for N = {n_total}); truncate the dp method instead"
-        )
-    return n_total
-
-
 def dual_codeword(field: Field, tag: str, a: int) -> tuple[int, ...]:
     """The word c(a) = (tr(a Tr g_1), ..., tr(a Tr g_N)) over GF(3)."""
-    tag = _check_gid(tag)
+    _check_gid(tag)
     if not 0 <= a < field.q:
         raise ValueError(f"a must be an element of GF({field.q}), got {a}")
     mul, tr = field.mul, field.trace
@@ -88,7 +76,7 @@ def _weight(field: Field, tag: str, a: int, g: CycInt) -> int:
 def dual_weights(field: Field, tag: str) -> tuple[int, ...]:
     """Hamming weight of c(a) for every a, from G(a) over the enumerated trace
     spectrum (groups.gauss_sum_enumerated); G(0) = N gives w(0) = 0."""
-    tag = _check_gid(tag)
+    _check_gid(tag)
     return tuple(_weight(field, tag, a, gauss_sum_enumerated(field, tag, a))
                  for a in field.elements())
 
@@ -99,7 +87,7 @@ def dual_weight_formula(field: Field, tag: str, a: int) -> int:
 
         w(c(a)) = (q i / 3) * (2 (q^2 - 1) - 2Re(lambda(a)) K(a^2))
     """
-    tag = _check_gid(tag)
+    _check_gid(tag)
     if tag == "sp2":
         raise ValueError("closed-form dual weight is defined for the so3 and o3 codes")
     return _weight(field, tag, a, gauss_sum_closed(field, tag, a))
@@ -188,19 +176,15 @@ def _slot_bytes(m: int, width: int) -> int:
     return ((comb(m, j) << j).bit_length() + 7) // 8
 
 
-def _check_state_bytes(q: int, columns: int, m: int, width: int) -> None:
-    """Refuse a DP whose packed state, columns x (width + 1) slots of
-    _slot_bytes(m, width) bytes, is past _DP_STATE_MAX_BYTES.  A slot holds
+def _check_table_bytes(slots: int, m: int, width: int, refusal: str) -> None:
+    """Raise UnsupportedScaleError(refusal) for a table of slots counts of
+    _slot_bytes(m, width) bytes each past _DP_STATE_MAX_BYTES.  A slot holds
     at least j + 1 bits, j = min(width, (2m + 2) // 3), so that bound is
     tried first, and the binomial is formed only when it passes."""
-    slots = columns * (width + 1)
     j = min(width, (2 * m + 2) // 3)
     if (slots * (j // 8 + 1) > _DP_STATE_MAX_BYTES
             or slots * _slot_bytes(m, width) > _DP_STATE_MAX_BYTES):
-        raise UnsupportedScaleError(
-            f"weight DP state bounded at {_DP_STATE_MAX_BYTES} bytes (asked for {columns} "
-            f"columns of {width + 1} weights at q = {q}); truncate lower"
-        )
+        raise UnsupportedScaleError(refusal)
 
 
 def _dp_plan(field: Field, sizes: list[int]) -> list[tuple[int, list[int], int | None]]:
@@ -394,19 +378,17 @@ def weight_distribution_dp(field: Field, tag: str,
     cost next to nothing, and a truncated row is dense mod y^(cap+1) while
     n > cap, so both keep the products.
 
-    Untruncated runs are bounded to N <= 2000, and so is truncate_at=J for
-    J >= N, which keeps every count; J < N gives the exact counts C_0..C_J
-    at any supported q, unless the packed state at the end of the plan,
-    the largest one, is past _DP_STATE_MAX_BYTES (_check_state_bytes).
-    Both refusals come before any column is packed.
+    truncate_at=J gives the exact counts C_0..C_min(J, N), and None the
+    full table, at any supported q, unless the packed state at the end of
+    the plan, the largest one, is past _DP_STATE_MAX_BYTES
+    (_check_table_bytes).  The refusal comes before any column is packed.
     """
-    tag = _check_gid(tag)
+    _check_gid(tag)
     if truncate_at is not None and truncate_at < 0:
         raise ValueError(f"truncate_at must be nonnegative, got {truncate_at}")
-    if truncate_at is None or truncate_at >= code_length(field.q, tag):
-        cap = _full_length(field.q, tag)
-    else:
-        cap = truncate_at
+    cap = code_length(field.q, tag)
+    if truncate_at is not None:
+        cap = min(truncate_at, cap)
 
     neg, rows = field.neg, field._rows
     counts_beta = trace_spectrum_closed(field, tag)
@@ -416,8 +398,11 @@ def weight_distribution_dp(field: Field, tag: str,
     plan = _dp_plan(field, sizes)
     reps, col_of = _orbit_columns(
         field, sizes, [beta for n, betas, _ in plan[1:] if n <= cap for beta in betas])
-    _check_state_bytes(field.q, len(reps), sum(len(betas) * n for n, betas, _ in plan),
-                       min(cap, sum(len(betas) * min(n, cap) for n, betas, _ in plan)))
+    width = min(cap, sum(len(betas) * min(n, cap) for n, betas, _ in plan))
+    _check_table_bytes(
+        len(reps) * (width + 1), sum(len(betas) * n for n, betas, _ in plan), width,
+        f"weight DP state bounded at {_DP_STATE_MAX_BYTES} bytes (asked for {len(reps)} "
+        f"columns of {width + 1} weights at q = {field.q}); truncate lower")
 
     state = [1] + [0] * (len(reps) - 1)
     m = width = 0
@@ -483,9 +468,16 @@ def weight_distribution_macwilliams(field: Field, tag: str) -> WeightDistributio
 
     that is C_j = (1/q) sum_x A_x K_j(x) over the dual weight counts A_x.
     The division by q must come out exact; anything else is an error.
+    The N + 1 totals, at _slot_bytes(N, N) bytes each, meet the weight DP's
+    byte budget before the dual spectrum is formed, so a refused call
+    enumerates no group.
     """
-    tag = _check_gid(tag)
-    n_total = _full_length(field.q, tag)
+    _check_gid(tag)
+    n_total = code_length(field.q, tag)
+    _check_table_bytes(
+        n_total + 1, n_total, n_total,
+        f"MacWilliams totals bounded at {_DP_STATE_MAX_BYTES} bytes (asked for "
+        f"{n_total + 1} weights at q = {field.q}); truncate the dp method instead")
     total = [0] * (n_total + 1)
     for x, a_x in dual_spectrum(field, tag).items():
         total = [t + a_x * k for t, k in zip(total, _krawtchouk_row(n_total, x))]
@@ -523,7 +515,7 @@ def pless_check(field: Field, tag: str, h: int,
     be an integer.  The left side uses a full weight distribution (computed
     here via MacWilliams when not supplied).
     """
-    tag = _check_gid(tag)
+    _check_gid(tag)
     if h < 0:
         raise ValueError(f"h must be nonnegative, got {h}")
     n_total = code_length(field.q, tag)

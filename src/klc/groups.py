@@ -101,16 +101,15 @@ _ENUMERATE_MAX_Q = 27
 Mat = tuple
 
 
-def _check_gid(gid: str) -> str:
-    g = gid.lower()
-    if g not in GROUPS:
+def _check_gid(gid: str) -> None:
+    """Only the names in GROUPS: another spelling would split the caches."""
+    if gid not in GROUPS:
         raise ValueError(f"unknown group {gid!r}; expected one of {GROUPS}")
-    return g
 
 
 def group_order(q: int, gid: str) -> int:
     """|O(3,q)| = 2q(q^2-1); |SO(3,q)| = |Sp(2,q)| = q(q^2-1)."""
-    gid = _check_gid(gid)
+    _check_gid(gid)
     base = q * (q * q - 1)
     return 2 * base if gid == "o3" else base
 
@@ -299,7 +298,7 @@ def _construction_bug(field: Field, gid: str, w: Mat) -> VerificationError:
 
 def iter_group(field: Field, gid: str) -> Iterator[Mat]:
     """Stream the group in canonical order, validating each element."""
-    gid = _check_gid(gid)
+    _check_gid(gid)
     check = _PREDICATES[gid]
     for w in _iter_cells(field, gid):
         if not check(field, w):
@@ -334,7 +333,7 @@ def enumerate_group(field: Field, gid: str) -> tuple[Mat, ...]:
     so the result is also closed under products.  Guarded to q <= 27; use
     iter_group to stream larger fields.
     """
-    gid = _check_gid(gid)
+    _check_gid(gid)
     if field.q > _ENUMERATE_MAX_Q:
         raise UnsupportedScaleError(
             f"full materialization bounded at q <= {_ENUMERATE_MAX_Q}, got q = {field.q}"
@@ -368,7 +367,7 @@ def brute_force_group(field: Field, gid: str) -> list[Mat]:
     Scans 3^9 candidates for O(3)/SO(3) and 3^4 for Sp(2); only sensible
     (and only allowed) at q = 3.  The oracle for enumerate_group.
     """
-    gid = _check_gid(gid)
+    _check_gid(gid)
     if field.q != 3:
         raise ValueError("the brute-force filter oracle is only available at q = 3")
     n = 2 if gid == "sp2" else 3
@@ -384,7 +383,7 @@ def brute_force_group(field: Field, gid: str) -> list[Mat]:
 def trace_spectrum(field: Field, gid: str) -> tuple[int, ...]:
     """N(beta) = #{w in G : Tr w == beta} for all beta, by enumeration; each
     trace is its diagonal summed through the addition table's rows."""
-    gid = _check_gid(gid)
+    _check_gid(gid)
     rows, elems = field._rows, enumerate_group(field, gid)
     counts = [0] * field.q
     if gid == "sp2":
@@ -398,7 +397,7 @@ def trace_spectrum(field: Field, gid: str) -> tuple[int, ...]:
 
 def trace_spectrum_closed(field: Field, gid: str) -> tuple[int, ...]:
     """The same counts from the closed forms in terms of delta(1, .)."""
-    gid = _check_gid(gid)
+    _check_gid(gid)
     q = field.q
     d1 = delta_table(field, 1)
     out = []
@@ -433,7 +432,7 @@ def gauss_sum_closed(field: Field, gid: str, a: int) -> CycInt:
         O(3,q):  (lambda(a) + lambda(-a)) q K(a^2), a rational integer
         Sp(2,q): q K(a^2), the SO(3,q) value divided by lambda(a)
     """
-    gid = _check_gid(gid)
+    _check_gid(gid)
     if not 1 <= a < field.q:
         raise ValueError(f"a must be a unit of GF({field.q}), got {a}")
     k = kloosterman_all(field)[field.mul(a, a)]

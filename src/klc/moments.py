@@ -4,9 +4,9 @@ Each checker evaluates both sides of one identity in exact rational
 arithmetic (fractions.Fraction over Python ints) and reports them side by
 side.  The moment values on the left come from charsums.moment_table over
 the K table, which is one cyclic convolution of the trace sequence; the
-weight counts on the right come from the combinatorial dynamic program in
-codes.  Neither side knows about the other, so an equal
-report is a real confirmation, not a tautology.
+right sides come from the weight counts of the combinatorial dynamic
+program in codes alone, and never read a moment.  Neither side knows about
+the other, so an equal report is a real confirmation, not a tautology.
 
 Identity catalogue (T = T12SK, the moments of K(a^2) over trace-nonzero a;
 C1/C2/Csp are the weight counts of the SO(3,q), O(3,q), Sp(2,q) codes;
@@ -15,7 +15,10 @@ P(N, h, c) = codes.pless_sum, scaled:
 
   theorem-a1   ((-1)^(h+1) + 2^-h) T^h ==
                L(h) + (3/2)^h q^(1-h) P(N1, h, C1 - Csp),
-               L(h) = - sum_{j=1}^{h-1} ((-1)^(j+1) + 2^-j) C(h,j) (q^2-1)^(h-j) T^j
+               L(h) = - sum_{j=1}^{h-1} C(h,j) (q^2-1)^(h-j) R(j), R(j) the
+               right side of row j, where the paper reads its left side; the
+               two agree while every row holds, and a row that fails at h0
+               carries its error on to every later row.
 
   theorem-a2   same left side, with the O(3,q) code on the right:
                L(h) + (3/2)^h q^(1-h) (2^-h P(N2, h, C2) - P(N1, h, Csp))
@@ -124,16 +127,18 @@ def _lhs_coeff(h: int) -> Fraction:
 
 def _check(theorem: str, field: Field, hmax: int, family: str, tags: tuple[str, ...],
            lhs, rhs, note: str | None = None) -> list[RecursionReport]:
-    """Report lhs(field, h, m) against rhs(field, h, m, *counts) for
-    h = 1..hmax, where m maps h to the family's moment and counts are the
-    tagged codes' weight counts C_0..C_hmax."""
+    """Report lhs(field, h, m) against rhs(field, h, earlier, *counts) for
+    h = 1..hmax, where m maps h to the family's moment, earlier lists the
+    right sides of rows 1..h-1 and counts are the tagged codes' weight
+    counts C_0..C_hmax; the right side never sees a moment."""
     _check_hmax(hmax)
     mt = moment_table(field, hmax)
     counts = tuple(truncated_counts(field, tag, hmax) for tag in tags)
     m = {h: mt.value(family, h) for h in range(hmax + 1)}
-    out = []
+    out, earlier = [], []
     for h in range(1, hmax + 1):
-        left, right = lhs(field, h, m), rhs(field, h, m, *counts)
+        left, right = lhs(field, h, m), rhs(field, h, earlier, *counts)
+        earlier.append(right)
         out.append(RecursionReport(theorem, field.q, h, left, right, left == right,
                                    counts, note=note))
     return out
@@ -143,24 +148,24 @@ def _a_lhs(field: Field, h: int, t12) -> Fraction:
     return _lhs_coeff(h) * t12[h]
 
 
-def _a_rhs(q: int, h: int, t12, pless: Fraction) -> Fraction:
+def _a_rhs(q: int, h: int, earlier: list[Fraction], pless: Fraction) -> Fraction:
     """L(h) + (3/2)^h q^(1-h) pless, the right-side shape theorem-a1 and
-    theorem-a2 share; t12 is any mapping j -> value."""
+    theorem-a2 share, with L(h) from the right sides of rows 1..h-1."""
     acc = Fraction(3**h, 2**h * q ** (h - 1)) * pless
-    for j in range(1, h):
-        acc -= (_lhs_coeff(j) * comb(h, j) * (q * q - 1) ** (h - j)) * t12[j]
+    for j, right in enumerate(earlier, 1):
+        acc -= comb(h, j) * (q * q - 1) ** (h - j) * right
     return acc
 
 
-def _a1_rhs(field: Field, h: int, t12, c1, csp) -> Fraction:
+def _a1_rhs(field: Field, h: int, earlier, c1, csp) -> Fraction:
     q = field.q
     diff = [a - b for a, b in zip(c1, csp)]
-    return _a_rhs(q, h, t12, pless_sum(code_length(q, "so3"), h, diff))
+    return _a_rhs(q, h, earlier, pless_sum(code_length(q, "so3"), h, diff))
 
 
-def _a2_rhs(field: Field, h: int, t12, c2, csp) -> Fraction:
+def _a2_rhs(field: Field, h: int, earlier, c2, csp) -> Fraction:
     q = field.q
-    return _a_rhs(q, h, t12, pless_sum(code_length(q, "o3"), h, c2) / 2**h
+    return _a_rhs(q, h, earlier, pless_sum(code_length(q, "o3"), h, c2) / 2**h
                   - pless_sum(code_length(q, "so3"), h, csp))
 
 
@@ -183,8 +188,8 @@ def _l_lhs(field: Field, h: int, sk) -> Fraction:
     return 2 * (2 * q // 3) ** h * acc
 
 
-def _l_rhs(field: Field, h: int, sk, csp) -> Fraction:
-    """Right side of theorem-l; it reads only the code, not the moments sk."""
+def _l_rhs(field: Field, h: int, earlier, csp) -> Fraction:
+    """Right side of theorem-l; it reads only the code, not the earlier rows."""
     return field.q * pless_sum(code_length(field.q, "so3"), h, csp)
 
 

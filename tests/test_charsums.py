@@ -111,6 +111,28 @@ def test_gl_recursion_matches_brute_force(r):
             assert kloosterman_gl(f, t, a) == kloosterman_gl_brute(f, t, a)
 
 
+def test_gl_recursion_at_t3_matches_brute_force_over_gl3_f3():
+    """K_GL(3) by the recursion against a sum over all 3^9 matrices of
+    M_3(GF(3)): w is a unit when det != 0, and tr(w^-1) is the sum of the
+    principal 2 x 2 minors over det, where 1/det = det in GF(3).  The sum
+    sum_w zeta^(tr w + a tr w^-1) is c_0 + c_1 zeta + c_2 zeta^2 over the
+    counts c_s of each exponent; it is real, so c_1 = c_2 and it is
+    c_0 - c_1."""
+    f = Field(1)
+    for a, expected in ((1, -837), (2, 1836)):
+        counts = [0, 0, 0]
+        for e in product(range(3), repeat=9):
+            w = [e[0:3], e[3:6], e[6:9]]
+            minors = [w[i][i] * w[j][j] - w[i][j] * w[j][i] for i, j in ((0, 1), (0, 2), (1, 2))]
+            det = sum(w[0][k] * (w[1][(k + 1) % 3] * w[2][(k + 2) % 3]
+                                 - w[1][(k + 2) % 3] * w[2][(k + 1) % 3]) for k in range(3)) % 3
+            if det:
+                counts[(w[0][0] + w[1][1] + w[2][2] + a * sum(minors) * det) % 3] += 1
+        assert sum(counts) == 26 * 24 * 18  # |GL(3, 3)|
+        assert counts[1] == counts[2]
+        assert kloosterman_gl(f, 3, a) == counts[0] - counts[1] == expected
+
+
 def test_gl_guards():
     f = Field(1)
     with pytest.raises(ValueError):

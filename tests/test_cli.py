@@ -243,13 +243,12 @@ def test_full_spectrum_guard_is_a_usage_error(runner):
 
 
 # --truncate calls the weight DP refuses with exit 2 and one Error: line: a
-# truncation that keeps every count (cap >= N) is the full table and meets
-# its N bound, and one whose packed state is past the DP's byte budget is
-# refused before the state is built.
+# truncation that keeps every count (cap >= N) is the full table, and it
+# meets the same byte budget as every other cap, before the state is built.
 TRUNCATE_REFUSALS = [
     (["code", "spectrum", "--code", "so3", "--q-exponent", "3", "--truncate", "100000"],
-     "Error: full distribution bounded at N <= 2000 (asked for N = 19656); "
-     "truncate the dp method instead"),
+     "Error: weight DP state bounded at 8388608 bytes (asked for 14 columns of 19657 "
+     "weights at q = 27); truncate lower"),
     (["code", "spectrum", "--code", "so3", "--q-exponent", "8", "--truncate", "100000"],
      "Error: weight DP state bounded at 8388608 bytes (asked for 424 columns of 100001 "
      "weights at q = 6561); truncate lower"),
@@ -662,6 +661,7 @@ def test_public_names_resolve():
     ("klc.groups", "GaussReport"), ("klc.codes", "_check_tag"),
     ("klc.charsums", "_SALIE_MAX_TUPLES"), ("klc.groups", "closure_spot_check"),
     ("klc.codes.WeightDistribution", "truncated_at"),
+    ("klc.codes", "_FULL_SPECTRUM_MAX_N"), ("klc.codes", "_full_length"),
 ])
 def test_unreached_functions_are_gone(module, name):
     """Functions that no command, battery row or other library function

@@ -5,8 +5,11 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from conftest import CliRunner
 
+import klc.cli as cli
 import klc.codes as codes
+import klc.groups as groups
 from klc.codes import (
     code_length,
     dual_codeword,
@@ -605,13 +608,13 @@ def _not_reached(*args):
 
 
 def test_truncation_that_keeps_every_count_is_the_full_table(monkeypatch):
-    """truncate_at >= N asks for the full table, so it meets the full-table
-    bound, and is refused before any column is packed."""
+    """truncate_at >= N asks for the full table, so it meets the byte budget
+    of the full table, and is refused before any column is packed."""
     assert weight_distribution_dp(Field(2), "sp2", truncate_at=720).counts == \
         weight_distribution_dp(Field(2), "sp2").counts
     monkeypatch.setattr(codes, "_pack", _not_reached)
     for cap in (19656, 10**5):
-        with pytest.raises(UnsupportedScaleError, match="N <= 2000"):
+        with pytest.raises(UnsupportedScaleError, match="14 columns of 19657 weights"):
             weight_distribution_dp(Field(3), "so3", truncate_at=cap)
 
 
@@ -632,6 +635,52 @@ def test_dp_state_budget_is_exact(monkeypatch):
     monkeypatch.setattr(codes, "_slot_bytes", _not_reached)
     with pytest.raises(UnsupportedScaleError, match="424 columns of 100001 weights"):
         weight_distribution_dp(Field(8), "so3", truncate_at=10**5)
+
+
+# Every route to a full weight table, as (name, library call on (field, tag,
+# N), CLI arguments after --code and --q-exponent for N).  Each one meets the
+# byte budget of its table alone: all run at r <= 2 and are refused at r >= 3.
+FULL_TABLE_CALLS = [
+    ("dp", lambda f, tag, n: weight_distribution_dp(f, tag).counts,
+     lambda n: ["spectrum"]),
+    ("dp J = N", lambda f, tag, n: weight_distribution_dp(f, tag, truncate_at=n).counts,
+     lambda n: ["spectrum", "--truncate", str(n)]),
+    ("dp J = 10^5", lambda f, tag, n: weight_distribution_dp(f, tag, truncate_at=10**5).counts,
+     lambda n: ["spectrum", "--truncate", "100000"]),
+    ("macwilliams", lambda f, tag, n: weight_distribution_macwilliams(f, tag).counts,
+     lambda n: ["spectrum", "--method", "macwilliams"]),
+    ("pless h = 2", lambda f, tag, n: pless_check(f, tag, 2).equal,
+     lambda n: ["pless", "--h", "2"]),
+]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 8])
+def test_one_byte_budget_decides_every_full_table(r, monkeypatch):
+    """At r <= 2 every route gives the one full table (and Pless holds); at
+    r >= 3 each is refused by the budget, in the library and as exit 2 with
+    one Error: line, before any column is packed and, for MacWilliams and
+    Pless, before any group is enumerated."""
+    f = Field(r)
+    for tag in GROUPS:
+        n = code_length(f.q, tag)
+        if r <= 2:
+            *tables, pless = [call(f, tag, n) for _, call, _ in FULL_TABLE_CALLS]
+            assert all(t == tables[0] for t in tables) and pless, tag
+            assert sum(tables[0]) == 3 ** (n - r)
+            continue
+        for name, call, args in FULL_TABLE_CALLS:
+            with monkeypatch.context() as m:
+                for owner, attr in ((codes, "_pack"), (codes, "dual_spectrum"),
+                                    (codes, "enumerate_group"), (groups, "enumerate_group")):
+                    m.setattr(owner, attr, _not_reached)
+                with pytest.raises(UnsupportedScaleError, match="bounded at 8388608 bytes") as exc:
+                    call(f, tag, n)
+                result = CliRunner().invoke(cli.main, ["code", *args(n)[:1], "--code", tag,
+                                                       "--q-exponent", str(r), *args(n)[1:]])
+            assert result.exit_code == 2 and isinstance(result.exception, SystemExit), name
+            assert "Traceback" not in result.output, name
+            assert [ln for ln in result.output.splitlines() if ln.startswith("Error:")] == \
+                [f"Error: {exc.value}"], name
 
 
 def test_sampled_codewords_hit_positive_counts():

@@ -8,6 +8,7 @@ from conftest import CliRunner
 import klc.cli as cli
 from klc import groups
 from klc.charsums import kloosterman_all
+from klc.codes import dual_weights
 from klc.eisenstein import CycInt, additive_char
 from klc.errors import UnsupportedScaleError, VerificationError
 from klc.field import Field
@@ -49,6 +50,18 @@ def test_unknown_group_rejected():
         group_order(3, "su2")
     with pytest.raises(ValueError):
         enumerate_group(Field(1), "gl3")
+
+
+def test_group_names_are_not_case_folded():
+    """Only the names in GROUPS are accepted, so an uppercase tag adds no
+    second entry to a per-field cache."""
+    f = Field(1)
+    for cached in (enumerate_group, trace_spectrum, dual_weights):
+        cached(f, "so3")
+        size = cached.cache_info().currsize
+        with pytest.raises(ValueError):
+            cached(f, "SO3")
+        assert cached.cache_info().currsize == size, cached.__name__
 
 
 # ---------------------------------------------------------------------------

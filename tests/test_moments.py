@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import klc.moments as moments
 from klc.codes import weight_distribution_dp
 from klc.errors import UnsupportedScaleError
 from klc.field import Field
@@ -76,6 +77,42 @@ def test_recursions_q9(checker):
 def test_theorem_a1_q27_truncated():
     reports = theorem_a1(Field(3), 3)
     assert all(rep.equal for rep in reports)
+
+
+@pytest.mark.parametrize("r,modulus", [(1, None), (2, None), (2, (2, 1, 1)), (3, None)])
+def test_right_sides_read_no_moment(r, modulus, monkeypatch):
+    """With every moment off by one, each right side is unchanged and every
+    row fails: the right sides run forward from the weight counts alone."""
+    f = Field(r) if modulus is None else Field(r, modulus=modulus)
+    checkers = (theorem_a1, theorem_a2, theorem_l)
+    honest = [[rep.rhs for rep in checker(f, 6)] for checker in checkers]
+    table = moments.moment_table
+
+    def off_by_one(field, hmax):
+        mt = table(field, hmax)
+        return mt._replace(entries={key: v + 1 for key, v in mt.entries.items()})
+
+    monkeypatch.setattr(moments, "moment_table", off_by_one)
+    for checker, rights in zip(checkers, honest):
+        reports = checker(f, 6)
+        assert [rep.rhs for rep in reports] == rights, checker.__name__
+        assert not any(rep.equal for rep in reports), checker.__name__
+
+
+@pytest.mark.parametrize("checker,tag", [(theorem_a1, "so3"), (theorem_a2, "o3"),
+                                         (theorem_l, "sp2")])
+def test_a_failing_row_carries_on_to_every_later_row(checker, tag, monkeypatch):
+    """A count off by one at C_3 leaves rows 1 and 2 equal and fails every
+    row from h = 3 on."""
+    counts = moments.truncated_counts
+
+    def bumped(field, code, j_max):
+        out = list(counts(field, code, j_max))
+        out[3] += code == tag
+        return out
+
+    monkeypatch.setattr(moments, "truncated_counts", bumped)
+    assert [rep.equal for rep in checker(Field(2), 6)] == [True, True] + [False] * 4
 
 
 def test_lhs_and_rhs_are_fractions_with_small_denominators():
