@@ -9,7 +9,7 @@ from .charsums import (MomentTable, delta_table, delta_table_brute, kloosterman_
                        kloosterman_all_brute, kloosterman_gl, kloosterman_gl_brute,
                        moment_table, prop_e_check, salie_check)
 from .codes import (WeightDistribution, code_length, dual_codeword, dual_spectrum,
-                    dual_weight_formula, dual_weights, pless_check, pless_sum, stirling2,
+                    dual_weight_formula, dual_weights, pless_check, pless_sum,
                     weight_distribution_dp, weight_distribution_macwilliams)
 from .eisenstein import CycInt, additive_char, char_sum
 from .errors import FieldConfigError, UnsupportedScaleError, VerificationError
@@ -30,7 +30,7 @@ __all__ = [
     "gauss_sum_closed", "gauss_sum_enumerated", "group_order", "is_irreducible",
     "iter_group", "kloosterman_all", "kloosterman_all_brute", "kloosterman_gl",
     "kloosterman_gl_brute", "mat_mul", "mat_trace", "moment_table", "pless_check",
-    "pless_sum", "prop_e_check", "salie_check", "stirling2", "theorem_a1", "theorem_a2",
-    "theorem_l", "trace_spectrum", "trace_spectrum_closed", "weight_distribution_dp",
+    "pless_sum", "prop_e_check", "salie_check", "theorem_a1", "theorem_a2", "theorem_l",
+    "trace_spectrum", "trace_spectrum_closed", "weight_distribution_dp",
     "weight_distribution_macwilliams",
 ]

@@ -219,7 +219,7 @@ _FIELD_OPTIONS = (
            help="Modulus coefficients, constant term first, comma separated."),
     Option("--output", "output", ("json", "csv"), "json", help="Row format."),
     # Ignored: perfbench/run.py's klc_args passes --seed N to every command,
-    # and perfbench/ changes only with the benchmark (ROADMAP items 1b, 17).
+    # and perfbench/ changes only with the benchmark (ROADMAP item 1).
     Option("--seed", None, int),
 )
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 from operator import itemgetter, mul
 from typing import NamedTuple
 
@@ -47,7 +47,7 @@ from .groups import (_check_gid, enumerate_group, gauss_sum_closed, gauss_sum_en
 # DP's packed state, columns x (width + 1) slots, and MacWilliams' N + 1
 # totals.  8 MiB, about 2.5 times the largest run timed (so3 at q = 27,
 # cap 800: 6 columns of 801 slots of 703 bytes, 3.4 MB).
-_DP_STATE_MAX_BYTES = 1 << 23
+_TABLE_MAX_BYTES = 1 << 23
 
 
 def code_length(q: int, tag: str) -> int:
@@ -102,23 +102,7 @@ def dual_spectrum(field: Field, tag: str) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Stirling numbers and the Pless sum
-
-
-def stirling2(h: int, t: int) -> int:
-    """Stirling number of the second kind via the explicit alternating sum
-    S(h, t) = (1/t!) sum_j (-1)^(t-j) C(t, j) j^h; zero for t > h."""
-    if h < 0 or t < 0:
-        raise ValueError("stirling2 needs nonnegative arguments")
-    if t > h:
-        return 0
-    acc = 0
-    for j in range(t + 1):
-        acc += (-1) ** (t - j) * comb(t, j) * j**h
-    ft = factorial(t)
-    if acc % ft:
-        raise VerificationError(f"stirling2({h}, {t}) sum not divisible by {t}!")
-    return acc // ft
+# the Pless sum
 
 
 def pless_sum(n: int, h: int, counts) -> Fraction:
@@ -130,10 +114,13 @@ def pless_sum(n: int, h: int, counts) -> Fraction:
     where the terms with t > n vanish.  For a ternary code of length n and
     dimension k whose dual has weight counts A_j, 3^k pless_sum(n, h, A)
     == sum_j j^h C_j (MacWilliams & Sloane, ch. 5).  Counts past index
-    min(n, h) are not read; missing ones are zero.
+    min(n, h) are not read; missing ones are zero.  t! S(h, t) counts the
+    maps of h points onto t points, sum_{i<=t} (-1)^(t-i) C(t, i) i^h by
+    inclusion-exclusion (1 at h = t = 0, since 0^0 = 1).
     """
     top = min(n, h)
-    weights = [factorial(t) * stirling2(h, t) for t in range(top + 1)]
+    weights = [sum((-1) ** (t - i) * comb(t, i) * i**h for i in range(t + 1))
+               for t in range(top + 1)]
     acc = 0
     for j, c in enumerate(counts[: top + 1]):
         inner = sum(weights[t] * 3 ** (h - t) * 2 ** (t - j) * comb(n - j, n - t)
@@ -178,12 +165,12 @@ def _slot_bytes(m: int, width: int) -> int:
 
 def _check_table_bytes(slots: int, m: int, width: int, refusal: str) -> None:
     """Raise UnsupportedScaleError(refusal) for a table of slots counts of
-    _slot_bytes(m, width) bytes each past _DP_STATE_MAX_BYTES.  A slot holds
+    _slot_bytes(m, width) bytes each past _TABLE_MAX_BYTES.  A slot holds
     at least j + 1 bits, j = min(width, (2m + 2) // 3), so that bound is
     tried first, and the binomial is formed only when it passes."""
     j = min(width, (2 * m + 2) // 3)
-    if (slots * (j // 8 + 1) > _DP_STATE_MAX_BYTES
-            or slots * _slot_bytes(m, width) > _DP_STATE_MAX_BYTES):
+    if (slots * (j // 8 + 1) > _TABLE_MAX_BYTES
+            or slots * _slot_bytes(m, width) > _TABLE_MAX_BYTES):
         raise UnsupportedScaleError(refusal)
 
 
@@ -380,7 +367,7 @@ def weight_distribution_dp(field: Field, tag: str,
 
     truncate_at=J gives the exact counts C_0..C_min(J, N), and None the
     full table, at any supported q, unless the packed state at the end of
-    the plan, the largest one, is past _DP_STATE_MAX_BYTES
+    the plan, the largest one, is past _TABLE_MAX_BYTES
     (_check_table_bytes).  The refusal comes before any column is packed.
     """
     _check_gid(tag)
@@ -401,7 +388,7 @@ def weight_distribution_dp(field: Field, tag: str,
     width = min(cap, sum(len(betas) * min(n, cap) for n, betas, _ in plan))
     _check_table_bytes(
         len(reps) * (width + 1), sum(len(betas) * n for n, betas, _ in plan), width,
-        f"weight DP state bounded at {_DP_STATE_MAX_BYTES} bytes (asked for {len(reps)} "
+        f"weight DP state bounded at {_TABLE_MAX_BYTES} bytes (asked for {len(reps)} "
         f"columns of {width + 1} weights at q = {field.q}); truncate lower")
 
     state = [1] + [0] * (len(reps) - 1)
@@ -476,7 +463,7 @@ def weight_distribution_macwilliams(field: Field, tag: str) -> WeightDistributio
     n_total = code_length(field.q, tag)
     _check_table_bytes(
         n_total + 1, n_total, n_total,
-        f"MacWilliams totals bounded at {_DP_STATE_MAX_BYTES} bytes (asked for "
+        f"MacWilliams totals bounded at {_TABLE_MAX_BYTES} bytes (asked for "
         f"{n_total + 1} weights at q = {field.q}); truncate the dp method instead")
     total = [0] * (n_total + 1)
     for x, a_x in dual_spectrum(field, tag).items():

@@ -25,26 +25,7 @@ class CycInt:
     def __add__(self, other):
         if isinstance(other, CycInt):
             return CycInt(self.a + other.a, self.b + other.b)
-        if isinstance(other, int):
-            return CycInt(self.a + other, self.b)
         return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, CycInt):
-            return CycInt(self.a - other.a, self.b - other.b)
-        if isinstance(other, int):
-            return CycInt(self.a - other, self.b)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return CycInt(other - self.a, -self.b)
-        return NotImplemented
-
-    def __neg__(self):
-        return CycInt(-self.a, -self.b)
 
     def __mul__(self, other):
         # (a1 + b1 z)(a2 + b2 z) = a1 a2 - b1 b2 + (a1 b2 + a2 b1 - b1 b2) z
@@ -55,19 +36,9 @@ class CycInt:
             return CycInt(self.a * other, self.b * other)
         return NotImplemented
 
-    __rmul__ = __mul__
-
-    def conj(self) -> "CycInt":
-        """Complex conjugate; sends zeta to zeta^2."""
-        return CycInt(self.a - self.b, -self.b)
-
     def two_re(self) -> int:
         """Twice the real part, an ordinary integer: 2*Re(a + b*zeta) = 2a - b."""
         return 2 * self.a - self.b
-
-    def norm(self) -> int:
-        """Field norm a^2 - a*b + b^2, always a nonnegative integer."""
-        return self.a * self.a - self.a * self.b + self.b * self.b
 
     def is_real(self) -> bool:
         return self.b == 0
@@ -80,15 +51,7 @@ class CycInt:
     def __eq__(self, other) -> bool:
         if isinstance(other, CycInt):
             return self.a == other.a and self.b == other.b
-        if isinstance(other, int):
-            return self.b == 0 and self.a == other
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def __bool__(self) -> bool:
-        return bool(self.a or self.b)
 
     def __repr__(self) -> str:
         return f"CycInt({self.a}, {self.b})"

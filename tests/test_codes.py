@@ -18,10 +18,10 @@ from klc.codes import (
     dual_weights,
     pless_check,
     pless_sum,
-    stirling2,
     weight_distribution_dp,
     weight_distribution_macwilliams,
 )
+from klc.eisenstein import ONE
 from klc.errors import UnsupportedScaleError, VerificationError
 from klc.field import Field, _unpack
 from klc.groups import GROUPS, trace_spectrum, trace_spectrum_closed
@@ -109,44 +109,6 @@ def test_dual_spectra_q3():
     assert dual_spectrum(f, "so3") == {0: 1, 15: 2}
     assert dual_spectrum(f, "o3") == {0: 1, 30: 2}
     assert dual_spectrum(f, "sp2") == {0: 1, 18: 2}
-
-
-# ---------------------------------------------------------------------------
-# Stirling numbers
-
-
-def _partitions_into(h, t):
-    """Count set partitions of {1..h} into exactly t blocks by growing
-    restricted-growth strings; an oracle independent of the alternating sum."""
-    def grow(i, used):
-        if i == h:
-            return 1 if used == t else 0
-        total = grow(i + 1, used + 1)  # open a new block
-        total += used * grow(i + 1, used)  # join an existing one
-        return total
-
-    return grow(0, 0)
-
-
-def test_stirling2_values():
-    assert stirling2(0, 0) == 1
-    assert stirling2(4, 2) == 7
-    assert stirling2(5, 3) == 25
-    assert stirling2(3, 5) == 0
-    with pytest.raises(ValueError):
-        stirling2(-1, 0)
-
-
-def test_stirling2_against_partition_count():
-    for h in range(7):
-        for t in range(h + 1):
-            assert stirling2(h, t) == _partitions_into(h, t)
-
-
-def test_stirling2_recurrence():
-    for h in range(1, 10):
-        for t in range(1, h + 1):
-            assert stirling2(h, t) == t * stirling2(h - 1, t) + stirling2(h - 1, t - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +553,9 @@ def test_truncation_is_a_prefix(tag):
 
 
 def test_truncated_counts_beyond_cap():
-    """Prefix counts stay available at scales where the full table is refused."""
+    """Prefix counts stay available at q = 27, where the full table is refused
+    (test_one_byte_budget_decides_every_full_table[3])."""
     f27 = Field(3)
-    with pytest.raises(UnsupportedScaleError):
-        weight_distribution_dp(f27, "so3")
-    with pytest.raises(UnsupportedScaleError):
-        weight_distribution_macwilliams(f27, "so3")
     head = weight_distribution_dp(f27, "so3", truncate_at=2).counts
     assert head[0] == 1 and head[1] > 0 and len(head) == 3
     with pytest.raises(ValueError):
@@ -623,10 +582,10 @@ def test_dp_state_budget_is_exact(monkeypatch):
     a budget of exactly that runs, one byte less is refused unpacked, and
     at q = 6561, cap 10^5 the cheap lower bound refuses it."""
     f = Field(2)
-    assert codes._DP_STATE_MAX_BYTES >= 4 * 1441 * 285
-    monkeypatch.setattr(codes, "_DP_STATE_MAX_BYTES", 4 * 1441 * 285)
+    assert codes._TABLE_MAX_BYTES >= 4 * 1441 * 285
+    monkeypatch.setattr(codes, "_TABLE_MAX_BYTES", 4 * 1441 * 285)
     assert sum(weight_distribution_dp(f, "o3").counts) == 3 ** (1440 - 2)
-    monkeypatch.setattr(codes, "_DP_STATE_MAX_BYTES", 4 * 1441 * 285 - 1)
+    monkeypatch.setattr(codes, "_TABLE_MAX_BYTES", 4 * 1441 * 285 - 1)
     monkeypatch.setattr(codes, "_pack", _not_reached)
     with pytest.raises(UnsupportedScaleError, match="state bounded"):
         weight_distribution_dp(f, "o3")
@@ -765,7 +724,7 @@ def test_inexact_dual_weight_is_a_verification_error(monkeypatch):
     f = Field(1)
     enumerated = codes.gauss_sum_enumerated
     monkeypatch.setattr(codes, "gauss_sum_enumerated",
-                        lambda field, gid, a: enumerated(field, gid, a) + 1)
+                        lambda field, gid, a: enumerated(field, gid, a) + ONE)
     with pytest.raises(VerificationError, match="not an integer"):
         codes.dual_weights.__wrapped__(f, "so3")  # past any cached table
 

@@ -44,33 +44,31 @@ def test_ring_laws(x, y, z):
     assert x * (y + z) == x * y + x * z
     assert x + ZERO == x
     assert x * ONE == x
-    assert x - x == ZERO
 
 
 @given(cycs, ints)
 def test_mixed_int_arithmetic(x, n):
-    assert x + n == x + CycInt(n, 0)
-    assert n + x == x + n
-    assert x - n == x + (-n)
-    assert n - x == -(x - n)
-    assert n * x == CycInt(n * x.a, n * x.b)
-    assert (x == n) == (x.b == 0 and x.a == n)
+    """An int mixes with a CycInt only as a right factor; + and == take two
+    CycInts."""
+    assert x * n == x * CycInt(n, 0) == CycInt(n * x.a, n * x.b)
+    with pytest.raises(TypeError):
+        x + n
+    with pytest.raises(TypeError):
+        n * x
+    assert x != n
 
 
-@given(cycs, cycs)
-def test_conj_and_norm(x, y):
-    assert (x * y).conj() == x.conj() * y.conj()
-    assert (x + y).conj() == x.conj() + y.conj()
-    assert x.conj().conj() == x
-    assert (x * y).norm() == x.norm() * y.norm()
-    assert x.norm() >= 0
-    assert x * x.conj() == CycInt(x.norm(), 0)
+def test_cycint_is_unhashable():
+    """__eq__ without __hash__: nothing in klc keys a dict or set by a CycInt."""
+    with pytest.raises(TypeError):
+        hash(ONE)
 
 
 @given(cycs)
 def test_real_part(x):
-    assert (x + x.conj()).b == 0
-    assert (x + x.conj()).a == x.two_re()
+    # x + conj(x) with conj(a + b zeta) = a + b zeta^2
+    twice = x + CycInt(x.a, 0) + ZETA * ZETA * x.b
+    assert twice.is_real() and twice.to_int() == x.two_re()
     assert x.is_real() == (x.b == 0)
 
 
@@ -80,11 +78,6 @@ def test_to_int_guards_realness():
         ZETA.to_int()
     with pytest.raises(VerificationError):
         CycInt(4, -2).to_int()
-
-
-def test_truthiness():
-    assert not ZERO
-    assert ONE and ZETA and CycInt(0, -3)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +103,7 @@ def test_character_orthogonality(r):
 def test_character_conjugate_is_negation():
     f = Field(2)
     for x in f.elements():
-        assert additive_char(f, f.neg(x)) == additive_char(f, x).conj()
+        assert additive_char(f, f.neg(x)) * additive_char(f, x) == ONE
         assert additive_char(f, 0) == ONE
 
 
