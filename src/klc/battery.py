@@ -86,7 +86,7 @@ def _gl_kloosterman(field: Field):
 def _property_suite(field: Field):
     kv = kloosterman_all(field)
     mt = moment_table(field, 8)
-    duals = [(tag, dual_weights(field, tag)) for tag in ("so3", "o3")]
+    duals = [(tag, dual_weights(field, tag)) for tag in GROUPS]
     ok = (all(kv[a] * kv[a] <= 4 * field.q for a in field.units())
           and all(2 * mt.value("SK", h) == mt.value("T0SK", h) + mt.value("T12SK", h)
                   for h in range(9))

@@ -218,19 +218,22 @@ def delta_table(field: Field, m: int) -> tuple[int, ...]:
         raise ValueError(f"m must be nonnegative, got {m}")
     if m > _DELTA_MAX_M:
         raise UnsupportedScaleError(f"delta table bounded at m <= {_DELTA_MAX_M}, got {m}")
-    q, add = field.q, field.add
+    q = field.q
     if m == 0:
         return tuple(1 if beta == 0 else 0 for beta in range(q))
     acc = [0] * q
     if m == 1:
+        add = field.add
         for alpha in field.units():
             acc[add(alpha, field.inv(alpha))] += 1
         return tuple(acc)
+    rows = field._rows
     d1 = [(y, cy) for y, cy in enumerate(delta_table(field, 1)) if cy]
     for x, cx in enumerate(delta_table(field, m - 1)):
         if cx:
+            row = rows[x]  # row[y] = x + y
             for y, cy in d1:
-                acc[add(x, y)] += cx * cy
+                acc[row[y]] += cx * cy
     return tuple(acc)
 
 

@@ -38,10 +38,10 @@ from typing import NamedTuple
 from .charsums import _DELTA_MAX_M, _SALIE_MAX_H, moment_table, prop_e_check, salie_check
 from .codes import (dual_spectrum, pless_check, weight_distribution_dp,
                     weight_distribution_macwilliams)
-from .errors import UnsupportedScaleError, VerificationError
+from .errors import VerificationError
 from .field import _MAX_R, Field
-from .groups import (GROUPS, brute_force_group, enumerate_group, gauss_sum_closed,
-                     gauss_sum_enumerated, trace_spectrum, trace_spectrum_closed)
+from .groups import (GROUPS, enumerate_group, gauss_sum_closed, gauss_sum_enumerated,
+                     trace_spectrum, trace_spectrum_closed)
 from .moments import _MAX_HMAX, corollary_n, theorem_a1, theorem_a2, theorem_l
 
 _FLAG_KEYS = ("equal", "pass")
@@ -56,9 +56,9 @@ class UsageError(Exception):
 class Option(NamedTuple):
     """One `--flag VALUE` of a leaf command, passed to its body as `dest`.
 
-    kind is str, int, a range of ints, a tuple of choices, or bool for a
-    flag without a value.  An option without a dest is accepted, checked
-    and ignored, and --help leaves it out.
+    kind is str, int, a range of ints or a tuple of choices.  An option
+    without a dest is accepted, checked and ignored, and --help leaves it
+    out.
     """
     flag: str
     dest: str | None
@@ -141,10 +141,6 @@ def _parse(options: tuple[Option, ...], args: list[str]) -> dict | None:
         elif opt is None:
             raise UsageError(f"No such option '{flag}'." if arg.startswith("-")
                              else f"Got unexpected extra argument ({arg})")
-        elif opt.kind is bool:
-            if eq:
-                raise UsageError(f"Option '{flag}' does not take a value.")
-            given[flag] = True
         elif eq:
             given[flag] = text
         else:
@@ -168,7 +164,7 @@ def _parse(options: tuple[Option, ...], args: list[str]) -> dict | None:
 
 def _convert(opt: Option, text):
     kind, bad = opt.kind, f"Invalid value for '{opt.flag}':"
-    if kind is str or kind is bool:
+    if kind is str:
         return text
     if isinstance(kind, tuple):
         if text not in kind:
@@ -197,9 +193,9 @@ def _help(prog: str, cmd: Command | Group) -> str:
 
 def _option_row(opt: Option) -> tuple[str, str]:
     kind = opt.kind
-    meta = ("" if kind is bool else f" [{'|'.join(kind)}]" if isinstance(kind, tuple)
+    meta = (f" [{'|'.join(kind)}]" if isinstance(kind, tuple)
             else " TEXT" if kind is str else " INTEGER")
-    notes = [] if opt.default is None or kind is bool else [f"default: {opt.default}"]
+    notes = [] if opt.default is None else [f"default: {opt.default}"]
     if isinstance(kind, range):
         notes.append(f"{kind.start}<=x<={kind.stop - 1}")
     if opt.required:
@@ -227,7 +223,7 @@ _FIELD_OPTIONS = (
 def _wrap(body):
     try:
         return body()
-    except (UnsupportedScaleError, ValueError) as exc:
+    except ValueError as exc:  # UnsupportedScaleError is one
         raise UsageError(str(exc))
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
@@ -335,22 +331,14 @@ def charsums_prop_e(field, mmax):
              "equal": x.equal} for x in prop_e_check(field, mmax)]
 
 
-@leaf(group_cmd, "enumerate", _GROUP,
-      Option("--oracle", "oracle", bool, False,
-             help="Cross-check against the 3^9 / 3^4 filter (q = 3 only)."))
-def group_enumerate(field, gid, oracle):
+@leaf(group_cmd, "enumerate", _GROUP)
+def group_enumerate(field, gid):
     """Emit the group elements as rows of enc-integer grids (q <= 27)."""
-    if oracle and field.q != 3:
-        raise UsageError("--oracle requires --q-exponent 1")
     elems = enumerate_group(field, gid)
     # one row dict per element, built as it is written: O(3, 27) has 39,312
-    rows = ({"index": i, **{f"e{a}{b}": v for a, line in enumerate(w)
+    return ({"index": i, **{f"e{a}{b}": v for a, line in enumerate(w)
                             for b, v in enumerate(line)}}
             for i, w in enumerate(elems))
-    if not oracle:
-        return rows
-    agree = sorted(elems) == sorted(brute_force_group(field, gid))
-    return chain(rows, [{"oracle": "brute-force filter", "pass": agree}])
 
 
 @leaf(group_cmd, "spectrum", _GROUP)

@@ -82,14 +82,13 @@ def dual_weights(field: Field, tag: str) -> tuple[int, ...]:
 
 
 def dual_weight_formula(field: Field, tag: str, a: int) -> int:
-    """Closed form for the weight of c(a), a != 0, for the orthogonal codes,
-    from G(a) = groups.gauss_sum_closed: with i = 1 for SO(3,q), 2 for O(3,q),
+    """Closed form for the weight of c(a), a != 0, from
+    G(a) = groups.gauss_sum_closed: with i = 1 for SO(3,q) and Sp(2,q),
+    2 for O(3,q), and lambda(a) read as 1 for Sp(2,q),
 
         w(c(a)) = (q i / 3) * (2 (q^2 - 1) - 2Re(lambda(a)) K(a^2))
     """
     _check_gid(tag)
-    if tag == "sp2":
-        raise ValueError("closed-form dual weight is defined for the so3 and o3 codes")
     return _weight(field, tag, a, gauss_sum_closed(field, tag, a))
 
 

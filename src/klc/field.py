@@ -24,18 +24,17 @@ the walk twice and then zeros, so mul is one lookup at the sum of the
 logs; squares are read off the log parity (g^k is a square iff k is even).
 
 Negation, the trace (F_3-linear, so fixed by the traces of the basis
-monomials t^k) and the addition tables are built digit by digit at
-construction and read by lookup.  For q <= 729 add reads the full q x q
-table.  Above q = 729 it reads the split table T over 3^k x 3^k:
-add(x, y) = T[x_h][y_h] 3^k + T[x_l][y_l] for the high and low digits
-x = x_h 3^k + x_l.  _add_slow, digit arithmetic mod 3, is the oracle for
-both.
-
-Loops that add field elements by the hundred thousand (the group
-membership checks and traces) read the addition table's rows, _rows,
-instead of calling add: _rows[x][y] is x + y.  For q <= 729 _rows is the
-full table itself; above it, a read-only view whose row x sums through T
-as add does, so the same code runs at every q.
+monomials t^k) and the addition table are built digit by digit at
+construction and read by lookup.  Addition has one representation, the
+rows _rows with _rows[x][y] = x + y; add and sub read it.  For q <= 729
+_rows is the full q x q table.  Above q = 729 it is a read-only view over
+the split table T over 3^k x 3^k: row x sums
+T[x_h][y_h] 3^k + T[x_l][y_l] for the high and low digits
+x = x_h 3^k + x_l, so the same code runs at every q.  _add_slow, digit
+arithmetic mod 3, is the oracle for both the full table and that one
+split formula.  Loops that add field elements by the hundred thousand
+(the group membership checks and traces, the delta folds, the generator
+walk) bind a row once per left operand instead of calling add.
 
 _pack and _unpack write a sequence of nonnegative ints into fixed-width
 byte slots of one int and back (Kronecker substitution); charsums and
@@ -228,7 +227,7 @@ class Field:
         q, r = self.q, self.r
         # c * 3^k + x (x < 3^k) has digit c at position k: its negation and
         # addition-table row follow from those of x.  The table over the low
-        # half of the digits, k < ceil(r/2), is the split adder's; the full
+        # half of the digits, k < ceil(r/2), is the split view's; the full
         # table goes on to every digit for q <= 729.
         half = (r + 1) // 2
         neg, table = [0], [[0]]
@@ -240,10 +239,9 @@ class Field:
                 blocks = [[list(map((d * p).__add__, row)) for d in range(3)] for row in table]
                 table = [b[c] + b[(c + 1) % 3] + b[(c + 2) % 3] for c in range(3) for b in blocks]
             if k + 1 == half:
-                self._split, self._split_table = 3 * p, table
+                split, split_table = 3 * p, table
         self._neg = neg
-        self._add_table = table if q <= _ADD_TABLE_MAX_Q else None
-        self._rows = table if q <= _ADD_TABLE_MAX_Q else _SplitRows(self._split, self._split_table)
+        self._rows = rows = table if q <= _ADD_TABLE_MAX_Q else _SplitRows(split, split_table)
 
         # The first candidate of order q - 1 is the generator: g^((q-1)/p) != 1 for
         # every prime p | q - 1.  Its walk is exp.
@@ -254,14 +252,14 @@ class Field:
         else:
             raise FieldConfigError(f"no primitive element found for modulus {list(self.modulus)}")
         # x -> x * gen is F_3-linear, so it is the sum of its values on the low
-        # and the high digits of x, each tabulated by raw products.
-        split, add = self._split, self.add
+        # and the high digits of x, each tabulated by raw products; high holds
+        # the addition-table row of each high-digit product.
         low = [self._mul_raw(x, gen) for x in range(split)]
-        high = [self._mul_raw(x * split, gen) for x in range(q // split)]
+        high = [rows[self._mul_raw(x * split, gen)] for x in range(q // split)]
         exp, x = [1], gen
         while x != 1 and len(exp) < q:
             exp.append(x)
-            x = add(high[x // split], low[x % split])
+            x = high[x // split][low[x % split]]
         if len(exp) != q - 1:
             raise FieldConfigError(f"modulus {list(self.modulus)} does not define a field")
         self.generator = gen
@@ -286,7 +284,7 @@ class Field:
     # -- arithmetic --------------------------------------------------
 
     def _add_slow(self, x: int, y: int) -> int:
-        """Digit-by-digit sum; the oracle for both addition tables."""
+        """Digit-by-digit sum; the oracle for _rows, full table or split view."""
         out, shift = 0, 1
         while x or y:
             out += ((x % 3) + (y % 3)) % 3 * shift
@@ -296,18 +294,13 @@ class Field:
         return out
 
     def add(self, x: int, y: int) -> int:
-        if self._add_table is not None:
-            return self._add_table[x][y]
-        split, table = self._split, self._split_table
-        xh, xl = divmod(x, split)
-        yh, yl = divmod(y, split)
-        return table[xh][yh] * split + table[xl][yl]
+        return self._rows[x][y]
 
     def neg(self, x: int) -> int:
         return self._neg[x]
 
     def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
+        return self._rows[x][self._neg[y]]
 
     def mul(self, x: int, y: int) -> int:
         return self._exp2[self._log[x] + self._log[y]]

@@ -77,8 +77,8 @@ no Field method call per entry: a sum is read off the field's
 addition-table rows as rows[rows[x][y]][z], and a difference as
 rows[x][neg[y]] with the negation list.  Above q = 729 the rows are a
 view through the split table, so the same code runs at every q.  mat_mul
-keeps Field.add and Field.mul; it and the digit-sum adder _add_slow are
-the oracles.
+keeps Field.add and Field.mul, which read the same rows one call at a
+time; it and the digit-sum adder _add_slow are the oracles.
 """
 
 from __future__ import annotations
@@ -398,18 +398,15 @@ def trace_spectrum(field: Field, gid: str) -> tuple[int, ...]:
 def trace_spectrum_closed(field: Field, gid: str) -> tuple[int, ...]:
     """The same counts from the closed forms in terms of delta(1, .)."""
     _check_gid(gid)
-    q = field.q
+    q, elems = field.q, field.elements()
     d1 = delta_table(field, 1)
-    out = []
-    for beta in field.elements():
-        if gid == "so3":
-            n = q * q - q + q * d1[field.sub(beta, 1)]
-        elif gid == "o3":
-            n = 2 * q * q - 2 * q + q * d1[field.sub(beta, 1)] + q * d1[field.add(beta, 1)]
-        else:
-            n = q * q - q + q * d1[beta]
-        out.append(n)
-    return tuple(out)
+    if gid == "sp2":
+        return tuple(q * q - q + q * d1[beta] for beta in elems)
+    # beta - 1 = (-1) + beta and beta + 1 = 1 + beta, read off two rows
+    minus, plus = field._rows[field._neg[1]], field._rows[1]
+    if gid == "so3":
+        return tuple(q * q - q + q * d1[minus[beta]] for beta in elems)
+    return tuple(2 * q * q - 2 * q + q * d1[minus[beta]] + q * d1[plus[beta]] for beta in elems)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 from itertools import product
+from random import Random
 
 import pytest
 
@@ -260,6 +261,19 @@ def test_delta_total_and_convolution(r):
     for beta in f.elements():
         conv = sum(d1[g] * d1[f.sub(beta, g)] for g in f.elements())
         assert d2[beta] == conv
+
+
+@pytest.mark.parametrize("modulus", ["default", "other"])
+def test_delta_fold_above_729_matches_digit_sums(modulus):
+    """At q = 2187 the fold reads the split-table row view; a seeded sample
+    of delta(2, beta) against sum_y delta(1, y) delta(1, beta - y), each
+    index formed by the digit-sum adder."""
+    f = Field(7, OTHER_MODULUS[7] if modulus == "other" else None)
+    d1, d2 = delta_table(f, 1), delta_table(f, 2)
+    rng = Random(7)
+    for beta in (0, 1, *(rng.randrange(f.q) for _ in range(3))):
+        conv = sum(d1[y] * d1[f._add_slow(beta, f.neg(y))] for y in f.elements())
+        assert d2[beta] == conv, beta
 
 
 def test_delta_guards():

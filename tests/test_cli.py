@@ -144,24 +144,14 @@ def test_prop_e_rows(runner):
 # group commands
 
 
-@pytest.mark.parametrize("gid", ["so3", "o3", "sp2"])
-def test_enumerate_with_oracle(runner, gid):
-    result = runner.invoke(cli.main, ["group", "enumerate", "--group", gid,
-                                      "--oracle"])
-    assert result.exit_code == 0
-    body = _rows(result)[1:]
-    order = group_order(3, gid)
-    assert len(body) == order + 1  # elements, oracle row
-    assert body[0]["index"] == 0 and body[0]["e00"] == (0 if gid == "sp2" else 1)
-    assert body[-2]["index"] == order - 1
-    assert body[-1] == {"oracle": "brute-force filter", "pass": True}
-
-
 def test_enumerate_oracle_mismatch_exits_one(runner, monkeypatch):
-    monkeypatch.setattr(cli, "brute_force_group", lambda field, gid: [])
-    result = runner.invoke(cli.main, ["group", "enumerate", "--group", "sp2", "--oracle"])
+    """At q = 3 `verify all` compares each group with the brute-force
+    filter; a mismatch fails the enumeration row and the run exits 1."""
+    monkeypatch.setattr("klc.battery.brute_force_group", lambda field, gid: [])
+    result = runner.invoke(cli.main, ["verify", "all", "--q-exponent", "1"])
     assert result.exit_code == 1
-    assert _rows(result)[-1] == {"oracle": "brute-force filter", "pass": False}
+    row = next(row for row in _rows(result)[1:] if row["check"] == "enumeration")
+    assert row["pass"] is False
 
 
 def test_enumerate_refuses_large_q(runner):
@@ -175,16 +165,10 @@ def test_enumerate_refuses_large_q(runner):
     assert isinstance(result.exception, SystemExit)
 
 
-def test_enumerate_oracle_needs_q3(runner):
-    result = runner.invoke(cli.main, ["group", "enumerate", "--group", "so3",
-                                      "--oracle", "--q-exponent", "2"])
-    assert result.exit_code == 2
-
-
 def test_enumerate_streams_its_rows():
     """The body enumerates eagerly but builds each row dict only as it is
     written, so the 39,312 rows of O(3, 27) are never held at once."""
-    rows = cli.group_enumerate(Field(2), "sp2", False)
+    rows = cli.group_enumerate(Field(2), "sp2")
     assert iter(rows) is rows
     assert next(rows) == {"index": 0, "e00": 0, "e01": 1, "e10": 2, "e11": 0}
     assert sum(1 for _ in rows) == group_order(9, "sp2") - 1
@@ -428,8 +412,8 @@ def test_main_leaves_the_collector_as_it_found_it(runner):
 
 @pytest.mark.parametrize("args,patch,code", [
     (["verify", "corollary-n"], "", 0),
-    (["group", "enumerate", "--group", "sp2", "--oracle"],
-     "cli.brute_force_group = lambda field, gid: []\n", 1),
+    (["verify", "all"],
+     "import klc.battery\nklc.battery.brute_force_group = lambda field, gid: []\n", 1),
     (["verify", "corollary-n", "--q-exponent", "9"], "", 2),
 ])
 def test_entry_exits_with_the_command_status_and_freezes(args, patch, code):
@@ -969,6 +953,7 @@ ARGV_TABLE = [
     (["code", "pless", "--code", "xx", "--h", "1"], 2, 1),
     (["code", "pless", "--h", "1"], 2, 1),
     (["verify", "corollary-n", "extra"], 2, 1),
+    (["group", "enumerate", "--group", "sp2", "--oracle"], 2, 1),
     (["verify", "theorem-a1", "--hmax=3"], 0, 0),
     (["verify", "theorem-a1", "--hmax", "9", "--hmax", "3"], 0, 0),
 ]

@@ -74,7 +74,7 @@ def test_dual_words_are_distinct(r, tag):
     assert len(words) == f.q
 
 
-@pytest.mark.parametrize("tag", ["so3", "o3"])
+@pytest.mark.parametrize("tag", GROUPS)
 @pytest.mark.parametrize("r", [1, 2])
 def test_dual_weight_formula_matches_count(r, tag):
     f = Field(r)
@@ -98,8 +98,8 @@ def test_dual_weights_match_materialized_words(r, modulus, tag):
 
 def test_dual_weight_formula_guards():
     f = Field(1)
-    with pytest.raises(ValueError):
-        dual_weight_formula(f, "sp2", 1)
+    # Sp(2, 3): N = 24 and G(1) = 3 K(1) = -3, so w = (48 + 6) / 3
+    assert dual_weight_formula(f, "sp2", 1) == 18
     with pytest.raises(ValueError):
         dual_weight_formula(f, "so3", 0)
 

@@ -100,9 +100,9 @@ def test_tables_match_their_definitions(r, second):
     if q <= 729:
         rows = f.elements() if q <= 243 else range(0, q, 7)
         for x in rows:
-            assert f._add_table[x] == [f._add_slow(x, y) for y in f.elements()]
+            assert f._rows[x] == [f._add_slow(x, y) for y in f.elements()]
     else:
-        assert f._add_table is None
+        assert not isinstance(f._rows, list)
 
 
 def test_trace_outside_the_prime_field_is_a_verification_error(monkeypatch):
@@ -195,6 +195,7 @@ def test_split_add_matches_digit_sums(r, second):
     for _ in range(20000):
         x, y = rng.randrange(q), rng.randrange(q)
         assert f.add(x, y) == f._add_slow(x, y)
+        assert f.sub(x, y) == f._add_slow(x, f.neg(y))
 
 
 @pytest.mark.parametrize("r", [7, 8])
@@ -213,8 +214,12 @@ def test_row_view_matches_digit_sums(r, second):
 
 @pytest.mark.parametrize("r", [1, 6])
 def test_rows_are_the_full_table_up_to_729(r):
+    """_rows is the one addition table: no second table or split adder
+    is kept beside it."""
     f = Field(r)
-    assert f._rows is f._add_table
+    assert type(f._rows) is list and [len(row) for row in f._rows] == [f.q] * f.q
+    for name in ("_add_table", "_split", "_split_table"):
+        assert not hasattr(f, name), name
 
 
 def test_add_above_729_reads_the_split_table(monkeypatch):
@@ -230,6 +235,7 @@ def test_add_above_729_reads_the_split_table(monkeypatch):
     rng = Random(7)
     for _ in range(1000):
         f.add(rng.randrange(f.q), rng.randrange(f.q))
+        f.sub(rng.randrange(f.q), rng.randrange(f.q))
     assert calls == 0
 
 

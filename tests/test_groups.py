@@ -7,7 +7,7 @@ from conftest import CliRunner
 
 import klc.cli as cli
 from klc import groups
-from klc.charsums import kloosterman_all
+from klc.charsums import delta_table, kloosterman_all
 from klc.codes import dual_weights
 from klc.eisenstein import CycInt, additive_char
 from klc.errors import UnsupportedScaleError, VerificationError
@@ -647,6 +647,21 @@ def test_closed_spectra_above_enumeration_bound(r, modulus):
         assert min(counts) > 0
     so3 = spec["so3"]
     assert spec["o3"] == tuple(so3[b] + so3[f.neg(b)] for b in f.elements())
+
+
+@pytest.mark.parametrize("modulus", [None, (1, 2, 1, 0, 0, 0, 0, 1)], ids=["r7", "r7-12100001"])
+def test_closed_spectra_above_729_match_digit_sums(modulus):
+    """At q = 2187 the closed spectra read the split-table rows of 1 and -1;
+    each count against its formula at beta - 1 and beta + 1 formed by the
+    digit-sum adder."""
+    f = Field(7, modulus)
+    q, d1 = f.q, delta_table(f, 1)
+    down = [d1[f._add_slow(beta, f.neg(1))] for beta in f.elements()]
+    up = [d1[f._add_slow(beta, 1)] for beta in f.elements()]
+    assert trace_spectrum_closed(f, "so3") == tuple(q * q - q + q * n for n in down)
+    assert trace_spectrum_closed(f, "o3") == tuple(
+        2 * q * q - 2 * q + q * n + q * m for n, m in zip(down, up))
+    assert trace_spectrum_closed(f, "sp2") == tuple(q * q - q + q * n for n in d1)
 
 
 # ---------------------------------------------------------------------------
