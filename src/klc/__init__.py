@@ -5,9 +5,9 @@ Everything is integer or rational arithmetic; no identity is ever checked
 with a tolerance.
 """
 
-from .charsums import (MomentTable, delta_table, delta_table_brute, kloosterman_all,
-                       kloosterman_all_brute, kloosterman_gl, kloosterman_gl_brute,
-                       moment_table, prop_e_check, salie_check)
+from .charsums import (delta_table, delta_table_brute, kloosterman_all, kloosterman_all_brute,
+                       kloosterman_gl, kloosterman_gl_brute, moment_table, prop_e_check,
+                       salie_check)
 from .codes import (WeightDistribution, code_length, dual_codeword, dual_spectrum,
                     dual_weight_formula, dual_weights, pless_check, pless_sum,
                     weight_distribution_dp, weight_distribution_macwilliams)
@@ -22,7 +22,7 @@ from .moments import RecursionReport, corollary_n, theorem_a1, theorem_a2, theor
 __version__ = "0.1.0"
 
 __all__ = [
-    "CycInt", "Field", "MomentTable", "RecursionReport", "WeightDistribution",
+    "CycInt", "Field", "RecursionReport", "WeightDistribution",
     "FieldConfigError", "UnsupportedScaleError", "VerificationError",
     "additive_char", "brute_force_group", "char_sum", "code_length",
     "corollary_n", "default_modulus", "delta_table", "delta_table_brute", "dual_codeword",

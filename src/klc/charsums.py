@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import product
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .eisenstein import char_sum
 from .errors import UnsupportedScaleError, VerificationError
@@ -142,32 +142,9 @@ def kloosterman_gl_brute(field: Field, t: int, a: int) -> int:
 # moments
 
 
-class MomentTable(NamedTuple):
-    """Power moments of Kloosterman sums, exact integers.
-
-    entries maps (family, h) to the moment value for 0 <= h <= hmax.
-    """
-
-    q: int
-    hmax: int
-    entries: Mapping[tuple[str, int], int]
-
-    def value(self, family: str, h: int) -> int:
-        return self.entries[(family, h)]
-
-    def rows(self) -> list[dict]:
-        out = []
-        for family in FAMILIES:
-            for h in range(self.hmax + 1):
-                out.append(
-                    {"q": self.q, "family": family, "h": h,
-                     "value": str(self.entries[(family, h)])}
-                )
-        return out
-
-
-def moment_table(field: Field, hmax: int) -> MomentTable:
-    """All four moment families for h = 0..hmax.
+def moment_table(field: Field, hmax: int) -> dict[str, tuple[int, ...]]:
+    """All four moment families for h = 0..hmax, as a dict from family to
+    the tuple (M^0, ..., M^hmax) of exact ints, keys in FAMILIES order.
 
     Each family is a power sum over a histogram: c_v units of its index set
     give K == v (K(a) for MK and SK, K(a^2) for T0SK and T12SK), so its h-th
@@ -187,15 +164,15 @@ def moment_table(field: Field, hmax: int) -> MomentTable:
         (t0sk if field.trace(a) == 0 else t12sk)[kv[field.mul(a, a)]] += 1
     # SK over squares equals the same sum over {a^2}: each square is hit twice
     # when a runs over all units, which is the content of 2 SK = T0SK + T12SK.
-    entries: dict[tuple[str, int], int] = {}
+    out = {}
     for family, hist in zip(FAMILIES, hists):
         sums = [0] * (hmax + 1)
         for v, c in hist.items():
             for h in range(hmax + 1):
                 sums[h] += c
                 c *= v
-        entries.update(((family, h), s) for h, s in enumerate(sums))
-    return MomentTable(q=field.q, hmax=hmax, entries=entries)
+        out[family] = tuple(sums)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +285,7 @@ def salie_check(field: Field, hmax: int) -> list[SalieReport]:
     mt, q = moment_table(field, hmax), field.q
     out = []
     for h in range(1, hmax + 1):
-        lhs = mt.value("MK", h)
+        lhs = mt["MK"][h]
         rhs = q * q * _salie_m(field, h - 1) - (q - 1) ** (h - 1) + 2 * (-1) ** (h - 1)
         out.append(SalieReport(q=q, h=h, lhs=lhs, rhs=rhs, equal=lhs == rhs))
     return out

@@ -313,7 +313,8 @@ _HMAX = Option("--hmax", "hmax", range(1, _MAX_HMAX + 1), 4)
 @leaf(charsums_cmd, "moments", Option("--hmax", "hmax", range(0, _MAX_HMAX + 1), 8))
 def charsums_moments(field, hmax):
     """Emit the four moment families for h = 0..hmax."""
-    return moment_table(field, hmax).rows()
+    return [{"q": field.q, "family": family, "h": h, "value": str(v)}
+            for family, sums in moment_table(field, hmax).items() for h, v in enumerate(sums)]
 
 
 @leaf(charsums_cmd, "salie", Option("--hmax", "hmax", range(1, _SALIE_MAX_H + 1), 2))

@@ -116,11 +116,6 @@ def _digest(*seqs) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _check_hmax(hmax: int) -> None:
-    if not 1 <= hmax <= _MAX_HMAX:
-        raise UnsupportedScaleError(f"hmax must be in 1..{_MAX_HMAX}, got {hmax}")
-
-
 def _lhs_coeff(h: int) -> Fraction:
     return Fraction((-1) ** (h + 1)) + Fraction(1, 2**h)
 
@@ -128,13 +123,14 @@ def _lhs_coeff(h: int) -> Fraction:
 def _check(theorem: str, field: Field, hmax: int, family: str, tags: tuple[str, ...],
            lhs, rhs, note: str | None = None) -> list[RecursionReport]:
     """Report lhs(field, h, m) against rhs(field, h, earlier, *counts) for
-    h = 1..hmax, where m maps h to the family's moment, earlier lists the
-    right sides of rows 1..h-1 and counts are the tagged codes' weight
-    counts C_0..C_hmax; the right side never sees a moment."""
-    _check_hmax(hmax)
-    mt = moment_table(field, hmax)
+    h = 1..hmax, where m is the family's tuple (M^0, ..., M^hmax) from
+    moment_table, earlier lists the right sides of rows 1..h-1 and counts
+    are the tagged codes' weight counts C_0..C_hmax; the right side never
+    sees a moment."""
+    if not 1 <= hmax <= _MAX_HMAX:
+        raise UnsupportedScaleError(f"hmax must be in 1..{_MAX_HMAX}, got {hmax}")
+    m = moment_table(field, hmax)[family]
     counts = tuple(truncated_counts(field, tag, hmax) for tag in tags)
-    m = {h: mt.value(family, h) for h in range(hmax + 1)}
     out, earlier = [], []
     for h in range(1, hmax + 1):
         left, right = lhs(field, h, m), rhs(field, h, earlier, *counts)
@@ -212,7 +208,7 @@ def corollary_n(field: Field) -> list[RecursionReport]:
     out = []
     for family in ("SK", "T0SK", "T12SK"):
         lhs = closed[family]
-        rhs = Fraction(mt.value(family, 1))
+        rhs = Fraction(mt[family][1])
         out.append(RecursionReport("corollary-n", q, 1, lhs, rhs,
                                    lhs == rhs, inputs, family=family))
     return out

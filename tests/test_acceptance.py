@@ -189,7 +189,7 @@ def test_criterion_12_property_suite(f3, f9, f27):
         ok = ok and all(kv[a] * kv[a] <= 4 * f.q for a in f.units())
         mt = moment_table(f, 8)
         ok = ok and all(
-            2 * mt.value("SK", h) == mt.value("T0SK", h) + mt.value("T12SK", h)
+            2 * mt["SK"][h] == mt["T0SK"][h] + mt["T12SK"][h]
             for h in range(9)
         )
         for tag in ("so3", "o3"):

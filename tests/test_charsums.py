@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from klc.charsums import (
+    FAMILIES,
     _salie_m,
     delta_table,
     delta_table_brute,
@@ -92,6 +93,15 @@ def test_corrupted_trace_is_a_verification_error():
         kloosterman_all.cache_clear()
 
 
+def test_weil_bound_violation_is_a_verification_error():
+    """A zero trace table makes every count N_1 = N_2 = 0, so K is real but
+    K(1) = q - 1 = 8 at q = 9, and 8^2 > 4q = 36."""
+    f = Field(2)
+    f._trace = [0] * f.q
+    with pytest.raises(VerificationError, match="Weil bound violated"):
+        kloosterman_all.__wrapped__(f)  # the cache keys on field equality
+
+
 # ---------------------------------------------------------------------------
 # sums over GL(t, q)
 
@@ -150,14 +160,14 @@ def test_gl_guards():
 
 def test_moments_q3():
     mt = moment_table(Field(1), 4)
-    assert mt.value("MK", 0) == 2
-    assert mt.value("MK", 1) == 1
-    assert mt.value("MK", 2) == 5
-    assert mt.value("SK", 0) == 1
-    assert mt.value("SK", 1) == -1
-    assert mt.value("T0SK", 0) == 0
-    assert mt.value("T12SK", 0) == 2
-    assert mt.value("T12SK", 1) == -2
+    assert mt["MK"][0] == 2
+    assert mt["MK"][1] == 1
+    assert mt["MK"][2] == 5
+    assert mt["SK"][0] == 1
+    assert mt["SK"][1] == -1
+    assert mt["T0SK"][0] == 0
+    assert mt["T12SK"][0] == 2
+    assert mt["T12SK"][1] == -2
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -167,26 +177,18 @@ def test_moment_family_relations(r):
     f = Field(r)
     mt = moment_table(f, 8)
     q = f.q
-    assert mt.value("MK", 0) == q - 1
-    assert mt.value("SK", 0) == (q - 1) // 2
-    assert mt.value("T0SK", 0) == q // 3 - 1
-    assert mt.value("T12SK", 0) == 2 * q // 3
+    assert mt["MK"][0] == q - 1
+    assert mt["SK"][0] == (q - 1) // 2
+    assert mt["T0SK"][0] == q // 3 - 1
+    assert mt["T12SK"][0] == 2 * q // 3
     for h in range(9):
-        assert 2 * mt.value("SK", h) == mt.value("T0SK", h) + mt.value("T12SK", h)
+        assert 2 * mt["SK"][h] == mt["T0SK"][h] + mt["T12SK"][h]
 
 
 def test_first_mk_moment_is_one():
     # sum_a K(a) = 1 for every q: swap the order of summation.
     for r in (1, 2, 3, 4):
-        assert moment_table(Field(r), 1).value("MK", 1) == 1
-
-
-def test_moment_rows_shape():
-    mt = moment_table(Field(1), 2)
-    rows = mt.rows()
-    assert len(rows) == 4 * 3
-    assert all(set(row) == {"q", "family", "h", "value"} for row in rows)
-    assert all(isinstance(row["value"], str) for row in rows)
+        assert moment_table(Field(r), 1)["MK"][1] == 1
 
 
 def _moment_entries_by_units(field, hmax):
@@ -218,8 +220,9 @@ def test_moment_table_matches_the_per_unit_sums(r, modulus):
     f = Field(r, OTHER_MODULUS[r] if modulus == "other" else None)
     mt = moment_table(f, 16)
     oracle = _moment_entries_by_units(f, 16)
-    assert list(mt.entries) == list(oracle)
-    assert mt.entries == oracle
+    assert list(mt) == list(FAMILIES)
+    assert all(len(sums) == 17 for sums in mt.values())
+    assert {(fam, h): v for fam, sums in mt.items() for h, v in enumerate(sums)} == oracle
 
 
 def test_moment_table_guard():

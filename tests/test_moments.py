@@ -89,8 +89,7 @@ def test_right_sides_read_no_moment(r, modulus, monkeypatch):
     table = moments.moment_table
 
     def off_by_one(field, hmax):
-        mt = table(field, hmax)
-        return mt._replace(entries={key: v + 1 for key, v in mt.entries.items()})
+        return {fam: tuple(v + 1 for v in sums) for fam, sums in table(field, hmax).items()}
 
     monkeypatch.setattr(moments, "moment_table", off_by_one)
     for checker, rights in zip(checkers, honest):
